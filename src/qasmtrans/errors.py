@@ -147,3 +147,7 @@ class DimensionMismatch(QasmTransError):
 
 class StepTooLarge(QasmTransError):
     pass
+
+
+class InvalidStep(QasmTransError):
+    """An integration step that is not a finite positive number."""

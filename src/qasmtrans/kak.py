@@ -122,7 +122,7 @@ def kak_decompose(u: np.ndarray, rng_seed: int = 2020) -> WeylPoint:
 
     # order eigenvalues into a chamber-friendly arrangement
     cstemp = np.mod(cs, pi2)
-    np.minimum(cstemp, pi2 - cstemp, cstemp)
+    np.minimum(cstemp, pi2 - cstemp, out=cstemp)
     order = np.argsort(cstemp)[[1, 2, 0]]
     cs = cs[order]
     ang = ang.copy()

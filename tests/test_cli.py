@@ -184,6 +184,50 @@ def test_simulate_subcommand(tmp_path, capsys):
     assert doc["trace_error"] <= 1e-8
 
 
+# routed onto chain7 as is; at dt 0.5 ns its Lindblad run leaves the positive cone
+COARSE_DT_QASM = """OPENQASM 2.0;
+include "qelib1.inc";
+qreg q[4];
+rx(2.9923274543394056) q[2];
+cx q[2],q[1];
+s q[2];
+t q[0];
+x q[0];
+s q[0];
+rz(2.9463921145413323) q[3];
+s q[2];
+t q[1];
+rz(-2.3034424028955938) q[0];
+"""
+
+
+@pytest.fixture(scope="module")
+def coarse_dt_schedule(tmp_path_factory):
+    d = tmp_path_factory.mktemp("coarse")
+    dev_path = d / "chain7.json"
+    dev_path.write_text(devicelib.line(7, basis="rigetti_pulse", t1_us=20.0, t2_us=15.0).to_json())
+    src = d / "c.qasm"
+    src.write_text(COARSE_DT_QASM)
+    pulse_out = d / "c.pulse.json"
+    assert _run(["-i", str(src), "-d", str(dev_path), "-b", "rigetti_pulse",
+                 "-o", str(d / "c.out.qasm"), "--pulse", str(pulse_out)]) == 0
+    return str(pulse_out), str(dev_path)
+
+
+@pytest.mark.parametrize("dt,match", [
+    ("0.5", "negative eigenvalue after integrating at dt_ns=0.5; reduce dt_ns"),
+    ("0", "dt_ns must be a finite positive number"),
+    ("nan", "dt_ns must be a finite positive number"),
+    ("-0.1", "dt_ns must be a finite positive number"),
+])
+def test_simulate_bad_dt_is_one_error_line(coarse_dt_schedule, capsys, dt, match):
+    schedule, dev_path = coarse_dt_schedule
+    rc = _run(["simulate", schedule, "-d", dev_path, "--dt", dt])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and match in err
+
+
 def test_routing_dominates_lowering_on_remote_heavy_input(tmp_path, toronto_json):
     # qualitative timing split: SWAP search outweighs basis decomposition
     import numpy as np

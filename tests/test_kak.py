@@ -1,5 +1,6 @@
 """Weyl-chamber decomposition and two-pulse Euler form tests."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -133,3 +134,11 @@ def test_phased_rotation_axis():
     assert phase_distance(r, gates.matrix("rx", (math.pi / 2,))) < 1e-12
     r = kak.phased_rotation(math.pi / 2, math.pi / 2)
     assert phase_distance(r, gates.matrix("ry", (math.pi / 2,))) < 1e-12
+
+
+def test_kak_decompose_emits_no_deprecation_warning():
+    rng = np.random.default_rng(21)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        for _ in range(5):
+            kak.kak_decompose(random_unitary(4, rng))

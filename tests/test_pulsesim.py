@@ -1,13 +1,14 @@
 """Pulse simulator tests: Hamiltonian assembly, propagation, Lindblad
-evolution against analytic and Liouvillian-exponential oracles, fidelity
-metrics, and the bounded optimizer."""
+evolution against analytic and Liouvillian-exponential oracles and against
+per-step reference integrators, fidelity metrics, and the bounded
+optimizer."""
 import math
 
 import numpy as np
 import pytest
 
 from qasmtrans import gates, pulsesim as ps
-from qasmtrans.errors import DimensionMismatch
+from qasmtrans.errors import DimensionMismatch, InvalidStep, StepTooLarge
 from qasmtrans.pulsesim import PulseModel
 
 from conftest import phase_distance, random_unitary
@@ -185,6 +186,171 @@ def test_lindblad_qubit_cap():
 def test_dephasing_rate_from_t1_t2():
     assert ps.dephasing_rate(100e3, 80e3) == pytest.approx(1 / 80e3 - 1 / 200e3)
     assert ps.dephasing_rate(100e3, 200e3) == 0.0  # clamped at the T2 = 2 T1 limit
+
+
+def test_lindblad_coarse_step_raises_step_too_large():
+    # a 6 rad/ns drive at dt 0.5 ns is outside RK4's stability region; the
+    # trace stays 1 but the state leaves the positive cone
+    m = PulseModel(1, dt_ns=0.5)
+    m.i_ctrl[0].add_constant(0, 3, 6.0)
+    with pytest.raises(StepTooLarge, match="negative eigenvalue .*dt_ns=0.5"):
+        ps.lindblad_evolve(m, np.diag([1.0, 0.0]).astype(complex), 3.0)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
+def test_bad_dt_rejected_up_front(dt):
+    m = PulseModel(1, dt_ns=dt)
+    m.i_ctrl[0].add_constant(0, 5, 0.1)
+    with pytest.raises(InvalidStep):
+        ps.propagate(m, 5.0)
+    with pytest.raises(InvalidStep):
+        ps.lindblad_evolve(m, np.diag([1.0, 0.0]).astype(complex), 5.0)
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the window-plan integrators against per-step references
+# ---------------------------------------------------------------------------
+
+def _ref_control_at(ctrl, t):
+    return sum(s.value if s.fn is None else s.fn(t)
+               for s in ctrl.segments if s.t0 <= t < s.t1)
+
+
+def _ref_hamiltonian(model, t):
+    ops = model._ops
+    h = np.zeros((ops.dim, ops.dim), dtype=complex)
+    for q in range(model.n):
+        h += 0.5 * _ref_control_at(model.i_ctrl[q], t) * ops.sx[q]
+        h += 0.5 * _ref_control_at(model.q_ctrl[q], t) * ops.sy[q]
+        h += 0.5 * _ref_control_at(model.z_ctrl[q], t) * ops.sz[q]
+    for pair, ctrl in model.j_ctrl.items():
+        h += 0.5 * _ref_control_at(ctrl, t) * ops.xxyy[pair]
+    return h
+
+
+def _ref_windows(model, t_end):
+    pts = {0.0, t_end}
+    for c in model.all_controls():
+        pts.update(p for p in c.breakpoints() if 0 < p < t_end)
+    pts = sorted(pts)
+    return [(a, b) for a, b in zip(pts[:-1], pts[1:]) if b - a > 1e-12]
+
+
+def _ref_expm_step(h, dt):
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * w * dt)) @ v.conj().T
+
+
+def _ref_propagate(model, t_end):
+    """Midpoint-Magnus with H rebuilt at every step; one exact step across
+    a window whose active segments are all constant."""
+    u = np.eye(model._ops.dim, dtype=complex)
+    for t0, t1 in _ref_windows(model, t_end):
+        width = t1 - t0
+        mid = (t0 + t1) / 2
+        if all(s.fn is None for c in model.all_controls() for s in c.segments
+               if s.t0 <= mid < s.t1):
+            u = _ref_expm_step(_ref_hamiltonian(model, mid), width) @ u
+            continue
+        steps = max(1, int(math.ceil(width / model.dt_ns)))
+        h = width / steps
+        for k in range(steps):
+            u = _ref_expm_step(_ref_hamiltonian(model, t0 + (k + 0.5) * h), h) @ u
+    return u
+
+
+def _ref_lindblad(model, rho, t_end):
+    """Classic RK4 on the master equation written term by term."""
+    ops = model._ops
+
+    def rhs(t, r):
+        h = _ref_hamiltonian(model, t)
+        out = -1j * (h @ r - r @ h)
+        for q, k in enumerate(model.kappa):
+            sm = ops.sm[q]
+            pp = sm.conj().T @ sm
+            out += k * (sm @ r @ sm.conj().T - 0.5 * (pp @ r + r @ pp))
+        for q, g in enumerate(model.gamma):
+            out += 0.5 * g * (ops.sz[q] @ r @ ops.sz[q] - r)
+        return out
+
+    for w0, w1 in _ref_windows(model, t_end):
+        width = w1 - w0
+        hi = w1 - 1e-9 * width
+        steps = max(1, int(math.ceil(width / model.dt_ns)))
+        h = width / steps
+        t = w0
+        for _ in range(steps):
+            k1 = rhs(min(t, hi), rho)
+            k2 = rhs(min(t + h / 2, hi), rho + h / 2 * k1)
+            k3 = rhs(min(t + h / 2, hi), rho + h / 2 * k2)
+            k4 = rhs(min(t + h, hi), rho + h * k3)
+            rho = rho + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            t += h
+    return rho
+
+
+def _gaussian(t0, d, amp):
+    c, sigma, base = t0 + d / 2, d / 4, math.exp(-2.0)
+    return lambda t: amp * (math.exp(-((t - c) ** 2) / (2 * sigma * sigma)) - base) / (1 - base)
+
+
+def _add_flat_top(ctrl, t0, d, ramp, amp):
+    ctrl.add_fn(t0, t0 + ramp, lambda t: amp * 0.5 * (1 - math.cos(math.pi * (t - t0) / ramp)))
+    ctrl.add_constant(t0 + ramp, t0 + d - ramp, amp)
+    ctrl.add_fn(t0 + d - ramp, t0 + d,
+                lambda t: amp * 0.5 * (1 - math.cos(math.pi * (t0 + d - t) / ramp)))
+
+
+def _random_model(seed):
+    """2-3 qubits mixing Gaussian, flat-top, constant and detuning controls,
+    nonzero kappa and gamma, overlapping segments on one channel, and
+    breakpoints that fall between grid points of dt."""
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 2
+    pairs = [(q, q + 1) for q in range(n - 1)]
+    m = PulseModel(n, pairs=pairs, dt_ns=0.1,
+                   kappa=list(rng.uniform(1e-3, 5e-3, n)),
+                   gamma=list(rng.uniform(1e-3, 5e-3, n)))
+    for q in range(n):
+        t0 = float(rng.uniform(0.0, 3.0))
+        m.i_ctrl[q].add_fn(t0, t0 + 8.0, _gaussian(t0, 8.0, rng.uniform(0.1, 0.4)))
+        # overlaps the Gaussian on the same channel, edges off the dt grid
+        m.i_ctrl[q].add_constant(t0 + 2.37, t0 + 11.13, rng.uniform(-0.2, 0.2))
+        m.q_ctrl[q].add_constant(float(rng.uniform(1.0, 4.0)), 14.05, rng.uniform(-0.2, 0.2))
+        m.z_ctrl[q].add_constant(0.0, 17.0, rng.uniform(-0.05, 0.05))
+    for pair in pairs:
+        _add_flat_top(m.j_ctrl[pair], float(rng.uniform(2.0, 6.0)), 12.5, 2.75,
+                      rng.uniform(-0.1, 0.1))
+    return m
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hamiltonian_at_matches_reference(seed):
+    m = _random_model(seed)
+    for t in np.linspace(-1.0, 20.0, 43):
+        assert np.max(np.abs(ps.hamiltonian_at(m, t) - _ref_hamiltonian(m, t))) <= 1e-15
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("horizon", [None, 9.87])
+def test_propagate_matches_reference(seed, horizon):
+    m = _random_model(seed)
+    t_end = m.horizon() if horizon is None else horizon
+    assert np.max(np.abs(ps.propagate(m, horizon) - _ref_propagate(m, t_end))) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("horizon", [None, 9.87, 21.0])
+def test_lindblad_matches_reference(seed, horizon):
+    m = _random_model(seed)
+    t_end = m.horizon() if horizon is None else horizon
+    rng = np.random.default_rng(100 + seed)
+    psi = rng.normal(size=1 << m.n) + 1j * rng.normal(size=1 << m.n)
+    psi /= np.linalg.norm(psi)
+    rho0 = np.outer(psi, psi.conj())
+    rho = ps.lindblad_evolve(m, rho0, horizon)
+    assert np.max(np.abs(rho - _ref_lindblad(m, rho0, t_end))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
