@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import gates
-from .errors import ArityMismatch, QasmTransError
+from .errors import ArityMismatch, QasmTransError, UnknownGate
 
 BARRIER = "barrier"
 
@@ -17,49 +17,37 @@ BARRIER = "barrier"
 class GateIR:
     """One quantum operation: name, flattened qubit indices, parameters, matrix.
 
-    The matrix is shared and cached per (name, params); real and imaginary
-    parts are stored as separate read-only float arrays. Barriers carry no
-    matrix.
+    Building a gate costs no matrix work: the matrix is built through
+    `gates.matrix` (cached per (name, params)) on first read, then kept as
+    one read-only complex array. Barriers carry no matrix.
     """
 
-    __slots__ = ("name", "qubits", "params", "_re", "_im")
+    __slots__ = ("name", "qubits", "params", "_matrix")
 
-    def __init__(self, name: str, qubits, params=(), _defer_matrix: bool = False):
+    def __init__(self, name: str, qubits, params=()):
         self.name = name
         self.qubits = tuple(qubits)
-        self.params = tuple(float(p) for p in params)
+        self.params = tuple(map(float, params))
+        self._matrix = None
         if len(set(self.qubits)) != len(self.qubits):
             raise ArityMismatch(f"{name}: duplicate qubit in {self.qubits}")
         if name == BARRIER:
-            self._re = self._im = None
             return
-        nq, npar = gates.GATE_INFO.get(name, (None, None))
-        if nq is not None:
-            if nq != len(self.qubits):
-                raise ArityMismatch(f"{name} expects {nq} qubits, got {len(self.qubits)}")
-            if npar != len(self.params):
-                raise ArityMismatch(f"{name} expects {npar} params, got {len(self.params)}")
-        if _defer_matrix:
-            self._re = self._im = None
-        else:
-            self._re, self._im = gates.matrix_parts(name, self.params)
-
-    @property
-    def matrix_real(self) -> np.ndarray:
-        if self._re is None and self.name != BARRIER:
-            self._re, self._im = gates.matrix_parts(self.name, self.params)
-        return self._re
-
-    @property
-    def matrix_imag(self) -> np.ndarray:
-        self.matrix_real
-        return self._im
+        info = gates.GATE_INFO.get(name)
+        if info is None:
+            raise UnknownGate(name)
+        nq, npar = info
+        if nq != len(self.qubits):
+            raise ArityMismatch(f"{name} expects {nq} qubits, got {len(self.qubits)}")
+        if npar != len(self.params):
+            raise ArityMismatch(f"{name} expects {npar} params, got {len(self.params)}")
 
     @property
     def matrix(self) -> np.ndarray | None:
-        if self.name == BARRIER:
-            return None
-        return self.matrix_real + 1j * self.matrix_imag
+        if self._matrix is None and self.name != BARRIER:
+            self._matrix = gates.matrix(self.name, self.params)
+            self._matrix.setflags(write=False)
+        return self._matrix
 
     @property
     def num_qubits(self) -> int:
@@ -75,7 +63,7 @@ class GateIR:
         g.name = self.name
         g.qubits = tuple(perm[q] for q in self.qubits)
         g.params = self.params
-        g._re, g._im = self._re, self._im
+        g._matrix = self._matrix
         return g
 
     def __repr__(self):

@@ -149,7 +149,7 @@ def _cached_matrix(name: str, params: tuple) -> tuple[np.ndarray, np.ndarray]:
 
 def matrix_parts(name: str, params: tuple = ()) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of the gate matrix (shared, read-only)."""
-    return _cached_matrix(name, tuple(float(p) for p in params))
+    return _cached_matrix(name, tuple(map(float, params)))
 
 
 def matrix(name: str, params: tuple = ()) -> np.ndarray:

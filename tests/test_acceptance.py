@@ -118,12 +118,12 @@ def _layered_synthetic(n_qubits: int, n_gates: int, seed: int, p2: float = 0.12,
                     a, b = (min(q, int(order[i + 1])), min(q, int(order[i + 1])) + 1)
                     if b >= n_qubits:
                         a, b = n_qubits - 2, n_qubits - 1
-                c.gates.append(GateIR("cx", (a, b), _defer_matrix=True))
+                c.gates.append(GateIR("cx", (a, b)))
                 i += 2
             else:
                 name = ("rz", "sx", "x")[int(rng.integers(3))]
                 params = (float(rng.uniform(-3, 3)),) if name == "rz" else ()
-                c.gates.append(GateIR(name, (q,), params, _defer_matrix=True))
+                c.gates.append(GateIR(name, (q,), params))
                 i += 1
     return c
 

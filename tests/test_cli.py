@@ -142,6 +142,26 @@ def test_exit_code_parse_error(tmp_path):
     assert _run(["-i", str(tmp_path / "missing.qasm"), "--stats"]) == 1
 
 
+def test_spec_builtins_transpile(tmp_path, line5_json):
+    src = tmp_path / "builtins.qasm"
+    src.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
+                   "U(pi/2,0,pi) q[0];\nCX q[0],q[1];\n")
+    out = tmp_path / "out.qasm"
+    assert _run(["-i", str(src), "-d", line5_json, "-b", "ibmq", "-o", str(out),
+                 "--verify"]) == 0
+    summary = json.loads(Path(str(out) + ".summary.json").read_text())
+    assert summary["verified"] is True
+    assert qasm.parse_file(out).gate_counts()["cx"] == 1
+
+
+def test_bad_parameter_is_one_error_line(tmp_path, capsys):
+    bad = tmp_path / "bad.qasm"
+    bad.write_text("qreg q[1];\nrz(1/0) q[0];\n")
+    assert _run(["-i", str(bad), "--stats"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: line 2: division by zero\n"
+
+
 def test_exit_code_device_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"num_qubits": 2}')

@@ -27,6 +27,19 @@ def test_matrix_parts_are_shared_and_readonly():
         re1[0, 0] = 5.0
 
 
+def test_gate_matrix_is_built_on_first_read_only(monkeypatch):
+    from qasmtrans.circuit import GateIR
+    calls = []
+    parts = gates.matrix_parts
+    monkeypatch.setattr(gates, "matrix_parts", lambda *a: calls.append(a) or parts(*a))
+    g = GateIR("rz", (0,), (0.25,))
+    assert calls == []
+    m = g.matrix
+    assert g.matrix is m and g.remapped({0: 1}).matrix is m and len(calls) == 1
+    assert not m.flags.writeable
+    assert np.array_equal(m, np.diag([1, np.exp(0.25j)]))
+
+
 @pytest.mark.parametrize("name", sorted(gates.COMPOSITION_GATES))
 def test_expansion_matches_defining_matrix(name):
     rng = np.random.default_rng(hash(name) % 2**31)

@@ -125,7 +125,7 @@ def test_decompose_rejects_unknown_multiqubit():
     c = Circuit(3)
     from qasmtrans.circuit import GateIR
     g = GateIR.__new__(GateIR)
-    g.name, g.qubits, g.params, g._re, g._im = "mystery3", (0, 1, 2), (), None, None
+    g.name, g.qubits, g.params = "mystery3", (0, 1, 2), ()
     c.gates.append(g)
     with pytest.raises(UnsupportedGate):
         ir.decompose_3q(c)
