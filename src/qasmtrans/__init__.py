@@ -33,10 +33,10 @@ from .route import (
     Layout,
     RoutingOptions,
     RoutingResult,
-    constrained_route,
     prioritize_qubits,
     sabre_route,
 )
+from .transpile import TranspileOptions, TranspileResult, transpile
 
 __version__ = "0.1.0"
 
@@ -46,7 +46,8 @@ __all__ = [
     "CircuitDag", "CircuitStats", "build_dag", "advance_front", "decompose_3q", "stats",
     "CouplingGraph", "CalibrationData", "DeviceModel", "load_device", "partial_graph",
     "Layout", "RoutingOptions", "RoutingResult",
-    "sabre_route", "constrained_route", "prioritize_qubits",
+    "sabre_route", "prioritize_qubits",
+    "TranspileOptions", "TranspileResult", "transpile",
     "BasisSet", "VENDOR_BASES", "lower", "lower_1q_zxz",
     "interaction_graph", "enumerate_embeddings", "critical_path", "select_placement",
     "Region", "penalty", "seed_regions", "grow_regions", "space_share",

@@ -158,9 +158,14 @@ class Circuit:
     def without_measurements(self) -> "Circuit":
         return Circuit(self.num_qubits, list(self.gates), [], self.register_map, self.source_name)
 
-    def without_barriers(self) -> "Circuit":
-        return Circuit(self.num_qubits, [g for g in self.gates if not g.is_barrier],
-                       list(self.measurements), self.register_map, self.source_name)
+    def remapped(self, perm, num_qubits: int | None = None) -> "Circuit":
+        """Copy with gates and measurements mapped through perm (index -> new
+        index) onto num_qubits qubits (default: unchanged). The register map
+        is kept at the same width and rebuilt flat at a new one."""
+        n = self.num_qubits if num_qubits is None else num_qubits
+        return Circuit(n, [g.remapped(perm) for g in self.gates],
+                       [(perm[q], c) for q, c in self.measurements],
+                       self.register_map if n == self.num_qubits else None, self.source_name)
 
     def gate_counts(self) -> dict[str, int]:
         out: dict[str, int] = {}

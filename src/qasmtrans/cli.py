@@ -1,6 +1,8 @@
-"""Command-line entry point tying the pipeline together:
-parse -> decompose-3q -> [prioritize] -> route -> [noise-adaptive place] ->
-lower -> emit, with space-share and verify subcommands.
+"""Command-line entry point: argument parsing, file I/O, `--verify`,
+`--pulse` and the run summary around one `transpile()` call per circuit
+(decompose-3q -> [prioritize] -> route -> [noise-adaptive place] -> lower),
+or one `partition.space_share` call for `--space-share`; plus the `verify`
+and `simulate` subcommands.
 
 Artifacts are written atomically. Every run also produces a summary JSON
 (schema "qasmtrans-summary/1") with per-stage timings, circuit statistics
@@ -8,8 +10,8 @@ before and after, inserted SWAP count, and the placement score when the
 noise-adaptive pass ran. Timings are the only nondeterministic fields; all
 other artifacts are byte-identical across identical invocations.
 
-Exit codes: 0 success, 1 parse error, 2 device error, 3 routing infeasible,
-4 internal invariant breach.
+Exit codes: 0 success, 1 parse error, 2 device error or a usage error (flags
+that cannot be combined), 3 routing infeasible, 4 internal invariant breach.
 """
 from __future__ import annotations
 
@@ -18,11 +20,12 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import device as device_mod
-from . import ir, oracle, partition, place, pulse, qasm, route
-from .lowering import lower as lower_circuit
+from . import ir, oracle, partition, pulse, qasm, route
+# bound here only because perfbench/spans.py wraps `cli.lower_circuit`
+from .lowering import lower as lower_circuit  # noqa: F401
 from .errors import (
     Disconnected,
     Infeasible,
@@ -30,30 +33,30 @@ from .errors import (
     SchemaError,
     TooManyQubits,
 )
+from .transpile import TranspileOptions, timed, transpile
 
 PARSE_ERROR, DEVICE_ERROR, ROUTING_ERROR, INTERNAL_ERROR = 1, 2, 3, 4
+
+# flag -> flags it cannot be combined with (argparse usage error, exit 2)
+CONFLICTS = {
+    "--space-share": ("--pulse", "--verify", "--priority", "--constrain-k"),
+    "--priority": ("--noise-adaptive", "--refine-layout", "--constrain-k"),
+}
+
+# space-share placement enumerates at most this many embeddings per region
+SPACE_SHARE_PLACEMENT_LIMIT = 1000
 
 
 @dataclass
 class JobConfig:
     inputs: list[str] = field(default_factory=list)
     device_path: str | None = None
-    backend: str | None = None
     output: str | None = None
-    seed: int = 0
-    noise_adaptive: bool = False
     space_share: bool = False
     pulse_out: str | None = None
-    constrain_k: int | None = None
-    priority: list[int] | None = None
     stats: bool = False
     verify: bool = False
-    expand_swaps: bool = True
-    refinement_rounds: int = 0
-    extended_set_size: int = 20
-    decay_increment: float = 0.001
-    decay_reset_interval: int = 5
-    placement_limit: int = 10000
+    transpile: TranspileOptions = field(default_factory=TranspileOptions)
 
 
 def _atomic_write(path: str, text: str):
@@ -71,31 +74,12 @@ def _emit_summary(cfg: JobConfig, summary: dict):
         sys.stdout.write(text)
 
 
-class _Timer:
-    def __init__(self):
-        self.timings: dict[str, float] = {}
-
-    def stage(self, name):
-        return _Stage(self, name)
-
-
-class _Stage:
-    def __init__(self, timer, name):
-        self.timer, self.name = timer, name
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-
-    def __exit__(self, *exc):
-        self.timer.timings[self.name] = (time.perf_counter() - self.t0) * 1000.0
-
-
 def run(cfg: JobConfig) -> int:
-    timer = _Timer()
+    timings: dict[str, float] = {}
     t_start = time.perf_counter()
     summary = {"version": "qasmtrans-summary/1", "inputs": list(cfg.inputs)}
     try:
-        with timer.stage("parse"):
+        with timed(timings, "parse"):
             circuits = [qasm.parse_file(p) for p in cfg.inputs]
     except (QasmTransError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -104,7 +88,7 @@ def run(cfg: JobConfig) -> int:
     dev = None
     if cfg.device_path:
         try:
-            with timer.stage("device"):
+            with timed(timings, "device"):
                 dev = device_mod.load_device(cfg.device_path)
             for warning in dev.warnings:
                 print(f"warning: {warning}", file=sys.stderr)
@@ -112,11 +96,9 @@ def run(cfg: JobConfig) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return DEVICE_ERROR
 
-    basis = cfg.backend or (dev.basis if dev is not None else None)
-
     try:
         if cfg.space_share:
-            return _run_space_share(cfg, circuits, dev, basis, timer, summary, t_start)
+            return _run_space_share(cfg, circuits, dev, timings, summary, t_start)
         circ = circuits[0]
         summary["stats_before"] = ir.stats(circ).to_dict()
 
@@ -124,67 +106,30 @@ def run(cfg: JobConfig) -> int:
             # statistics-only mode
             if cfg.stats:
                 print(ir.stats(circ).to_text())
-            summary["timings_ms"] = _finish_timings(timer, t_start)
+            summary["timings_ms"] = _finish_timings(timings, t_start)
             _emit_summary(cfg, summary)
             return 0
 
-        with timer.stage("decompose"):
-            flat = ir.decompose_3q(circ)
-        opts = route.RoutingOptions(expand_swaps=cfg.expand_swaps,
-                                    refinement_rounds=cfg.refinement_rounds,
-                                    extended_set_size=cfg.extended_set_size,
-                                    decay_increment=cfg.decay_increment,
-                                    decay_reset_interval=cfg.decay_reset_interval)
-        with timer.stage("route"):
-            if cfg.constrain_k is not None:
-                result = route.constrained_route(flat, dev, cfg.constrain_k,
-                                                 seed=cfg.seed, opts=opts)
-            else:
-                result = route.sabre_route(flat, dev, seed=cfg.seed, opts=opts)
+        result = transpile(circ, dev, cfg.transpile)
+        timings.update(result.timings_ms)
+        final_circ = result.circuit
         summary["swaps_inserted"] = result.swaps_inserted
-        routed = result.circuit
-        initial = list(result.initial_layout.virt_to_phys)
-        final = list(result.final_layout.virt_to_phys)
-
         summary["placement_score"] = None
-        if cfg.noise_adaptive:
-            with timer.stage("place"):
-                target = dev
-                if result.region_qubits is not None:
-                    target = device_mod.restrict_device(dev, result.region_qubits)
-                    back = {q: i for i, q in enumerate(result.region_qubits)}
-                    routed = _relabel(routed, back, target.num_qubits)
-                    initial = [back[p] for p in initial]
-                    final = [back[p] for p in final]
-                best, ranked = place.select_placement(routed, target,
-                                                      limit=cfg.placement_limit)
-                summary["placements"] = [
-                    {"mapping": [p for p in s_.mapping.virt_to_phys if p is not None],
-                     "score": s_.score, "cp_length": s_.cp_length}
-                    for s_ in ranked[:5]
-                ]
-                perm = partition._total_perm(best.mapping.virt_to_phys, target.num_qubits)
-                routed = _relabel(routed, perm, target.num_qubits)
-                initial = [perm[p] for p in initial]
-                final = [perm[p] for p in final]
-                if result.region_qubits is not None:
-                    fwd = {i: q for i, q in enumerate(result.region_qubits)}
-                    routed = _relabel(routed, fwd, dev.num_qubits)
-                    initial = [fwd[p] for p in initial]
-                    final = [fwd[p] for p in final]
-                summary["placement_score"] = best.score
-
-        with timer.stage("lower"):
-            final_circ = lower_circuit(routed, basis or "ibmq")
-        if cfg.priority is not None:
-            final_circ = route.prioritize_qubits(final_circ, cfg.priority)
-        summary["initial_layout"] = initial
-        summary["final_layout"] = final
+        if result.placements is not None:
+            summary["placement_score"] = result.placements[0].score
+            summary["placements"] = [
+                {"mapping": [p for p in s_.mapping.virt_to_phys if p is not None],
+                 "score": s_.score, "cp_length": s_.cp_length}
+                for s_ in result.placements[:5]
+            ]
+        summary["initial_layout"] = result.initial_layout
+        summary["final_layout"] = result.final_layout
         summary["stats_after"] = ir.stats(final_circ).to_dict()
 
-        if cfg.verify and cfg.priority is None:
+        if cfg.verify:
             try:
-                ok, dev_val = oracle.pipeline_equivalent(circ, final_circ, initial, final)
+                ok, dev_val = oracle.pipeline_equivalent(circ, final_circ, result.initial_layout,
+                                                         result.final_layout)
             except TooManyQubits:
                 summary["verified"] = None  # too large for the oracle
             else:
@@ -194,7 +139,7 @@ def run(cfg: JobConfig) -> int:
                           file=sys.stderr)
                     return INTERNAL_ERROR
 
-        with timer.stage("emit"):
+        with timed(timings, "emit"):
             text = qasm.emit_qasm(final_circ)
             if cfg.output:
                 _atomic_write(cfg.output, text)
@@ -202,7 +147,7 @@ def run(cfg: JobConfig) -> int:
                 sys.stdout.write(text)
 
         if cfg.pulse_out:
-            with timer.stage("pulse"):
+            with timed(timings, "pulse"):
                 lib = pulse.PulseLibrary.for_device(dev)
                 schedule = pulse.build_schedule(final_circ, lib, dev)
                 _atomic_write(cfg.pulse_out, schedule.to_json() + "\n")
@@ -210,7 +155,7 @@ def run(cfg: JobConfig) -> int:
 
         if cfg.stats:
             print(ir.stats(final_circ).to_text())
-        summary["timings_ms"] = _finish_timings(timer, t_start)
+        summary["timings_ms"] = _finish_timings(timings, t_start)
         _emit_summary(cfg, summary)
         return 0
     except (TooManyQubits, Disconnected, Infeasible) as exc:
@@ -224,28 +169,20 @@ def run(cfg: JobConfig) -> int:
         return INTERNAL_ERROR
 
 
-def _relabel(circ, perm, num_qubits):
-    from .circuit import Circuit
-    gates_ = [g.remapped(perm) for g in circ.gates]
-    meas = [(perm[q], c) for q, c in circ.measurements]
-    return Circuit(num_qubits, gates_, meas, source_name=circ.source_name)
-
-
-def _finish_timings(timer: _Timer, t_start: float) -> dict:
-    out = dict(timer.timings)
+def _finish_timings(timings: dict[str, float], t_start: float) -> dict:
+    out = dict(timings)
     out["total"] = (time.perf_counter() - t_start) * 1000.0
     return out
 
 
-def _run_space_share(cfg, circuits, dev, basis, timer, summary, t_start) -> int:
+def _run_space_share(cfg, circuits, dev, timings, summary, t_start) -> int:
     if dev is None:
         print("error: --space-share requires a device", file=sys.stderr)
         return DEVICE_ERROR
-    with timer.stage("space_share"):
-        result = partition.space_share(circuits, dev, seed=cfg.seed,
-                                       basis=basis,
-                                       noise_adaptive=cfg.noise_adaptive,
-                                       placement_limit=min(cfg.placement_limit, 1000))
+    opts = replace(cfg.transpile, placement_limit=min(cfg.transpile.placement_limit,
+                                                      SPACE_SHARE_PLACEMENT_LIMIT))
+    with timed(timings, "space_share"):
+        result = partition.space_share(circuits, dev, opts)
     text = qasm.emit_qasm(result.merged)
     if cfg.output:
         _atomic_write(cfg.output, text)
@@ -255,7 +192,7 @@ def _run_space_share(cfg, circuits, dev, basis, timer, summary, t_start) -> int:
         sys.stdout.write(text)
     summary["regions"] = result.reports
     summary["stats_after"] = ir.stats(result.merged).to_dict()
-    summary["timings_ms"] = _finish_timings(timer, t_start)
+    summary["timings_ms"] = _finish_timings(timings, t_start)
     _emit_summary(cfg, summary)
     return 0
 
@@ -325,8 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--stats", action="store_true", help="print circuit statistics")
     ap.add_argument("--verify", action="store_true",
                     help="oracle-check the output against the input (small circuits)")
-    ap.add_argument("--keep-swaps", action="store_true",
-                    help="emit swap gates instead of expanding to 3 CX")
     ap.add_argument("--refine-layout", action="store_true",
                     help="3 forward/backward initial-layout refinement rounds")
     ap.add_argument("--extended-set-size", type=int, default=20,
@@ -336,6 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="reset the decay factors every N inserted SWAPs")
     ap.add_argument("--placement-limit", type=int, default=10000)
     return ap
+
+
+def _given(args: argparse.Namespace, flag: str) -> bool:
+    value = getattr(args, flag[2:].replace("-", "_"))
+    return value is not None and value is not False
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -351,25 +291,31 @@ def main(argv: list[str] | None = None) -> int:
         inputs = list(args.space_share)
     if not inputs:
         ap.error("no input circuits (-i or --space-share)")
+    for flag, others in CONFLICTS.items():
+        for other in others:
+            if _given(args, flag) and _given(args, other):
+                ap.error(f"{flag} cannot be combined with {other}")
+    routing = route.RoutingOptions(refinement_rounds=3 if args.refine_layout else 0,
+                                   extended_set_size=args.extended_set_size,
+                                   decay_increment=args.decay_increment,
+                                   decay_reset_interval=args.decay_reset)
     cfg = JobConfig(
         inputs=inputs,
         device_path=args.device,
-        backend=args.backend,
         output=args.output,
-        seed=args.seed,
-        noise_adaptive=args.noise_adaptive,
         space_share=bool(args.space_share),
         pulse_out=args.pulse,
-        constrain_k=args.constrain_k,
-        priority=[int(x) for x in args.priority.split(",")] if args.priority else None,
         stats=args.stats,
         verify=args.verify,
-        expand_swaps=not args.keep_swaps,
-        refinement_rounds=3 if args.refine_layout else 0,
-        extended_set_size=args.extended_set_size,
-        decay_increment=args.decay_increment,
-        decay_reset_interval=args.decay_reset,
-        placement_limit=args.placement_limit,
+        transpile=TranspileOptions(
+            seed=args.seed,
+            basis=args.backend,
+            routing=routing,
+            noise_adaptive=args.noise_adaptive,
+            placement_limit=args.placement_limit,
+            constrain_k=args.constrain_k,
+            priority=[int(x) for x in args.priority.split(",")] if args.priority else None,
+        ),
     )
     return run(cfg)
 

@@ -22,7 +22,7 @@ import json
 import math
 from collections import deque
 
-from .errors import Infeasible, MissingDuration, SchemaError
+from .errors import Infeasible, SchemaError
 
 INF = math.inf
 
@@ -99,20 +99,6 @@ class CalibrationData:
 
     def edge_error(self, a: int, b: int) -> float:
         return self.e2[self._ekey(a, b)]
-
-    def duration_of(self, gate: str, qubits) -> float:
-        """Duration in ns for a concrete gate application."""
-        if len(qubits) == 2:
-            key = self._ekey(*qubits)
-            if key in self.edge_duration_ns:
-                return self.edge_duration_ns[key]
-        elif len(qubits) == 1:
-            per_q = self.gate_durations[qubits[0]]
-            if gate in per_q:
-                return per_q[gate]
-        if gate in self.default_durations:
-            return self.default_durations[gate]
-        raise MissingDuration(gate)
 
     def validate(self, coupling: CouplingGraph):
         for q in range(self.num_qubits):

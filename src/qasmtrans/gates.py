@@ -58,13 +58,6 @@ def num_qubits_of(name: str) -> int:
         raise UnknownGate(name) from None
 
 
-def num_params_of(name: str) -> int:
-    try:
-        return GATE_INFO[name][1]
-    except KeyError:
-        raise UnknownGate(name) from None
-
-
 # ---------------------------------------------------------------------------
 # matrices
 # ---------------------------------------------------------------------------

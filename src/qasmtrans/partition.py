@@ -14,8 +14,9 @@ import math
 from dataclasses import dataclass, field
 
 from .circuit import Circuit
-from .device import DeviceModel, restrict_device
+from .device import DeviceModel
 from .errors import GrowthStuck, IsolatedQubit, TooManyQubitsRequested
+from .transpile import TranspileOptions, transpile
 
 
 def penalty(q: int, device: DeviceModel) -> float:
@@ -189,26 +190,23 @@ class SpaceShareResult:
     per_circuit: list[dict] = field(default_factory=list)
 
 
-def space_share(circuits: list[Circuit], device: DeviceModel, seed: int = 0,
-                basis=None, placement_limit: int = 1000,
-                noise_adaptive: bool = True) -> SpaceShareResult:
+def space_share(circuits: list[Circuit], device: DeviceModel,
+                options: TranspileOptions) -> SpaceShareResult:
     """Partition the device, transpile each circuit inside its own region,
     and merge into one program on disjoint physical qubits and clbits.
 
     Regions are sized and grown largest-circuit-first; classical bits are
     stitched in the original circuit order, each block offset by the total
-    clbit count of the earlier circuits.
+    clbit count of the earlier circuits. Each region is lowered on its own,
+    which gives the same gates as lowering the merged program: lowering
+    keeps its state per qubit and the regions are disjoint.
     """
-    from . import ir, place, route
-    from .lowering import lower as lower_circuit
-
     order = sorted(range(len(circuits)), key=lambda i: (-circuits[i].num_qubits, i))
     sizes = [circuits[i].num_qubits for i in order]
     regions = partition_device(sizes, device)
     for reg, idx in zip(regions, order):
         reg.circuit_index = idx
 
-    basis_name = basis or (device.basis if isinstance(device.basis, str) else "ibmq")
     merged_gates = []
     merged_meas = []
     reports = []
@@ -221,57 +219,24 @@ def space_share(circuits: list[Circuit], device: DeviceModel, seed: int = 0,
 
     for reg in sorted(regions, key=lambda r: r.circuit_index):
         circ = circuits[reg.circuit_index]
-        sub = restrict_device(device, sorted(reg.qubits))
-        flat = ir.decompose_3q(circ)
-        routed = route.sabre_route(flat, sub, seed=seed)
-        result_circ = routed.circuit
-        initial = list(routed.initial_layout.virt_to_phys)
-        final = list(routed.final_layout.virt_to_phys)
-        if noise_adaptive and len(result_circ.gates) > 0:
-            best, _ = place.select_placement(result_circ, sub, limit=placement_limit)
-            mapping = best.mapping.virt_to_phys
-            perm = _total_perm(mapping, sub.num_qubits)
-            result_circ = _relabel(result_circ, perm)
-            initial = [perm[p] for p in initial]
-            final = [perm[p] for p in final]
-        parent = sub.parent_qubits
-        global_perm = {i: parent[i] for i in range(sub.num_qubits)}
+        result = transpile(circ, device, options, region=sorted(reg.qubits))
         offset = clbit_offsets[reg.circuit_index]
-        for g in result_circ.gates:
-            merged_gates.append(g.remapped(global_perm))
-        for q, c in result_circ.measurements:
-            merged_meas.append((global_perm[q], c + offset))
+        merged_gates += result.circuit.gates
+        merged_meas += [(q, c + offset) for q, c in result.circuit.measurements]
         per_circuit[reg.circuit_index] = {
             "region": reg.id,
-            "qubits": sorted(parent),
-            "initial_layout": [global_perm[p] for p in initial],
-            "final_layout": [global_perm[p] for p in final],
-            "swaps_inserted": routed.swaps_inserted,
+            "qubits": result.qubits,
+            "initial_layout": result.initial_layout,
+            "final_layout": result.final_layout,
+            "swaps_inserted": result.swaps_inserted,
         }
         reports.append({
             "region_id": reg.id,
-            "qubits": sorted(parent),
+            "qubits": result.qubits,
             "seed": reg.seed_qubit,
             "circuit_file": circ.source_name,
         })
 
     merged = Circuit(device.num_qubits, merged_gates, merged_meas, source_name="space_share")
-    merged = lower_circuit(merged, basis_name)
     return SpaceShareResult(merged, regions, sorted(reports, key=lambda r: r["region_id"]),
                             per_circuit)
-
-
-def _total_perm(mapping, n):
-    perm = dict(enumerate(mapping))
-    used = set(mapping)
-    spare = iter(sorted(set(range(n)) - used))
-    for v in range(n):
-        if v not in perm or perm[v] is None:
-            perm[v] = next(spare)
-    return perm
-
-
-def _relabel(circuit: Circuit, perm) -> Circuit:
-    gates = [g.remapped(perm) for g in circuit.gates]
-    meas = [(perm[q], c) for q, c in circuit.measurements]
-    return Circuit(circuit.num_qubits, gates, meas, circuit.register_map, circuit.source_name)

@@ -94,10 +94,6 @@ class Control:
             pts.add(s.t1)
         return sorted(pts)
 
-    @property
-    def empty(self) -> bool:
-        return not self.segments
-
 
 @dataclass
 class PulseModel:

@@ -1,6 +1,5 @@
-"""Sabre-style SWAP-insertion routing with an incremental front layer,
-constrained routing over a connected partial graph, and user-guided qubit
-prioritization.
+"""Sabre-style SWAP-insertion routing with an incremental front layer, and
+user-guided qubit prioritization.
 
 The front layer is maintained incrementally: executing a gate only touches
 its successors, so the per-step cost tracks the active width of the circuit
@@ -43,7 +42,6 @@ class Layout:
 
 @dataclass
 class RoutingOptions:
-    expand_swaps: bool = True
     refinement_rounds: int = 0          # 0 or 3 forward/backward passes
     extended_set_size: int = 20
     decay_increment: float = 0.001
@@ -57,7 +55,6 @@ class RoutingResult:
     initial_layout: Layout
     final_layout: Layout
     swaps_inserted: int
-    region_qubits: list[int] | None = None
 
 
 def _splitmix64(x: int) -> int:
@@ -251,12 +248,9 @@ class _Router:
         return ext
 
     def _emit_swap(self, a: int, b: int, out: list[GateIR]):
-        if self.opts.expand_swaps:
-            out.append(GateIR("cx", (a, b)))
-            out.append(GateIR("cx", (b, a)))
-            out.append(GateIR("cx", (a, b)))
-        else:
-            out.append(GateIR("swap", (a, b)))
+        out.append(GateIR("cx", (a, b)))
+        out.append(GateIR("cx", (b, a)))
+        out.append(GateIR("cx", (a, b)))
 
     def _force_route(self, pair: tuple[int, int], out: list[GateIR]):
         """Deterministic escape hatch: walk the blocked pair together along a
@@ -317,35 +311,12 @@ def _p2v(v2p: list[int], n_virt: int, n_phys: int) -> list:
     return p2v
 
 
-def constrained_route(circuit: Circuit, device: DeviceModel, k: int,
-                      seed: int = 0, opts: RoutingOptions | None = None) -> RoutingResult:
-    """Route inside a connected k-qubit partial graph of the device."""
-    if k < circuit.num_qubits:
-        raise TooManyQubits(f"k={k} is below the circuit's {circuit.num_qubits} qubits")
-    from .device import partial_graph
-    sub = partial_graph(device, min(k, device.num_qubits))
-    result = sabre_route(circuit, sub, seed, opts)
-    parent = sub.parent_qubits
-    mapped = {i: parent[i] for i in range(sub.num_qubits)}
-    gates = [g.remapped(mapped) for g in result.circuit.gates]
-    meas = [(mapped[q], c) for q, c in result.circuit.measurements]
-    circ = Circuit(device.num_qubits, gates, meas, source_name=circuit.source_name)
-    init = [mapped[p] for p in result.initial_layout.virt_to_phys]
-    final = [mapped[p] for p in result.final_layout.virt_to_phys]
-    return RoutingResult(
-        circ,
-        Layout(init, _p2v(init, circuit.num_qubits, device.num_qubits)),
-        Layout(final, _p2v(final, circuit.num_qubits, device.num_qubits)),
-        result.swaps_inserted,
-        region_qubits=sorted(parent),
-    )
-
-
-def prioritize_qubits(circuit: Circuit, priority_order: list[int]) -> Circuit:
+def prioritize_qubits(circuit: Circuit, priority_order: list[int]) -> tuple[Circuit, list[int]]:
     """Relabel so the i-th busiest qubit becomes priority_order[i].
 
     Gate counts are per-qubit participation counts; equal counts rank by
     ascending original index. Measurements are relabeled consistently.
+    Returns the relabeled circuit and the permutation (old -> new qubit).
     """
     n = circuit.num_qubits
     if sorted(priority_order) != list(range(n)):
@@ -358,6 +329,4 @@ def prioritize_qubits(circuit: Circuit, priority_order: list[int]) -> Circuit:
     perm = [0] * n
     for rank, q in enumerate(busy_first):
         perm[q] = priority_order[rank]
-    gates = [g.remapped(perm) for g in circuit.gates]
-    meas = [(perm[q], c) for q, c in circuit.measurements]
-    return Circuit(n, gates, meas, circuit.register_map, circuit.source_name)
+    return circuit.remapped(perm), perm

@@ -29,6 +29,7 @@ from qasmtrans.circuit import Circuit, GateIR
 from qasmtrans.lowering import lower
 from qasmtrans.partition import partition_device, space_share, _connected
 from qasmtrans.place import DurationTable
+from qasmtrans.transpile import TranspileOptions
 
 from conftest import FIXTURES, random_circuit, random_unitary
 
@@ -353,7 +354,8 @@ def test_criterion_07_partition_validity(circuits):
 
     # merged two-Bell program factorizes under oracle simulation
     bell = circuits["bell"]
-    res = space_share([bell, bell], devicelib.line(6), basis="ibmq")
+    res = space_share([bell, bell], devicelib.line(6),
+                      TranspileOptions(basis="ibmq", noise_adaptive=True, placement_limit=1000))
     psi = oracle.simulate(res.merged.without_measurements())
     t = psi.reshape([2] * 6)
     pair0 = [res.per_circuit[0]["final_layout"][v] for v in range(2)]

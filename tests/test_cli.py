@@ -91,11 +91,44 @@ def test_constrained_routing_flag(tmp_path, toronto_json):
     assert len(used) <= 6
 
 
+def _on_coupling_graph(path, dev_json) -> bool:
+    dev = load_device(dev_json)
+    pairs = [g.qubits for g in qasm.parse_file(path).gates if g.num_qubits == 2]
+    return bool(pairs) and all(dev.coupling.has_edge(*q) for q in pairs)
+
+
 def test_priority_flag(tmp_path, line5_json):
     out = tmp_path / "pr.qasm"
     rc = _run(["-i", str(FIXTURES / "bell.qasm"), "-d", line5_json,
                "-b", "ibmq", "-o", str(out), "--priority", "4,3,2,1,0"])
     assert rc == 0
+    assert _on_coupling_graph(out, line5_json)
+
+
+def test_priority_stays_on_coupling_graph(tmp_path, line5_json):
+    # the priority used to relabel qubits after lowering, which put cx gates
+    # off the coupling graph, and --verify was skipped
+    out = tmp_path / "prv.qasm"
+    rc = _run(["-i", str(FIXTURES / "ghz_n5.qasm"), "-d", line5_json, "-b", "ibmq",
+               "-o", str(out), "--priority", "4,2,0,1,3", "--verify"])
+    assert rc == 0
+    assert _on_coupling_graph(out, line5_json)
+    s = json.loads(Path(str(out) + ".summary.json").read_text())
+    assert s["verified"] is True
+    assert s["initial_layout"] == [4, 2, 0, 1, 3]
+
+
+@pytest.mark.parametrize("flags", [["--noise-adaptive"], ["--refine-layout"],
+                                   ["--constrain-k", "5"]],
+                         ids=["noise-adaptive", "refine-layout", "constrain-k"])
+def test_priority_conflicts_are_usage_errors(tmp_path, line5_json, capsys, flags):
+    out = tmp_path / "pc.qasm"
+    with pytest.raises(SystemExit) as exc:
+        _run(["-i", str(FIXTURES / "bell.qasm"), "-d", line5_json, "-o", str(out),
+              "--priority", "0,1,2,3,4", *flags])
+    assert exc.value.code == 2
+    assert f"--priority cannot be combined with {flags[0]}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_space_share_cli(tmp_path, line5_json, toronto_json):
@@ -109,6 +142,22 @@ def test_space_share_cli(tmp_path, line5_json, toronto_json):
     assert q0.isdisjoint(q1)
     merged = qasm.parse_file(out)
     assert merged.num_qubits == 27
+
+
+@pytest.mark.parametrize("flags", [["--pulse", "PULSE"], ["--verify"],
+                                   ["--priority", ",".join(map(str, range(27)))],
+                                   ["--constrain-k", "10"]],
+                         ids=["pulse", "verify", "priority", "constrain-k"])
+def test_space_share_rejects_compile_only_flags(tmp_path, toronto_json, capsys, flags):
+    # these flags used to be ignored by --space-share, with exit 0
+    out = tmp_path / "ssr.qasm"
+    flags = [str(tmp_path / "p.json") if f == "PULSE" else f for f in flags]
+    bell = str(FIXTURES / "bell.qasm")
+    with pytest.raises(SystemExit) as exc:
+        _run(["--space-share", bell, bell, "-d", toronto_json, "-o", str(out), *flags])
+    assert exc.value.code == 2
+    assert f"--space-share cannot be combined with {flags[0]}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_pulse_emission_cli(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 
 from qasmtrans import devicelib, oracle, partition, qasm
 from qasmtrans.errors import IsolatedQubit, TooManyQubitsRequested
+from qasmtrans.transpile import TranspileOptions
 from qasmtrans.partition import (
     grow_regions,
     partition_device,
@@ -151,8 +152,12 @@ def test_partition_toronto_889():
 # space_share
 # ---------------------------------------------------------------------------
 
+# the former keyword defaults of space_share: seed 0, noise-adaptive placement
+# over at most 1000 embeddings per region
+SHARE = TranspileOptions(basis="ibmq", noise_adaptive=True, placement_limit=1000)
+
 def test_space_share_single_circuit_degenerate(circuits, line5):
-    res = space_share([circuits["bell"]], line5, basis="ibmq")
+    res = space_share([circuits["bell"]], line5, SHARE)
     assert len(res.regions) == 1
     used = {q for g in res.merged.gates for q in g.qubits}
     assert used <= res.regions[0].qubits
@@ -161,7 +166,7 @@ def test_space_share_single_circuit_degenerate(circuits, line5):
 def test_space_share_two_bells_factorize(circuits):
     dev = devicelib.line(6)
     bell = circuits["bell"]
-    res = space_share([bell, bell], dev, basis="ibmq")
+    res = space_share([bell, bell], dev, SHARE)
     merged = res.merged
     assert merged.num_qubits == 6
     regions = [info["qubits"] for info in res.per_circuit]
@@ -193,7 +198,7 @@ def test_space_share_three_circuits_toronto(circuits, toronto):
     batch = [random_circuit(8, 30, rng, measure=True),
              random_circuit(6, 20, rng, measure=True),
              random_circuit(9, 35, rng, measure=True)]
-    res = space_share(batch, toronto, basis="ibmq", noise_adaptive=False)
+    res = space_share(batch, toronto, TranspileOptions(basis="ibmq", placement_limit=1000))
     sizes = sorted((len(r.qubits) for r in res.regions), reverse=True)
     assert sizes == [9, 8, 6]
     seen = set()
@@ -209,7 +214,7 @@ def test_space_share_three_circuits_toronto(circuits, toronto):
 
 
 def test_space_share_report_schema(circuits, line5):
-    res = space_share([circuits["bell"], circuits["bell"]], devicelib.line(6), basis="ibmq")
+    res = space_share([circuits["bell"], circuits["bell"]], devicelib.line(6), SHARE)
     for entry in res.reports:
         assert sorted(entry) == ["circuit_file", "qubits", "region_id", "seed"]
 
@@ -217,6 +222,6 @@ def test_space_share_report_schema(circuits, line5):
 def test_space_share_deterministic(circuits):
     dev = devicelib.line(6)
     bell = circuits["bell"]
-    a = space_share([bell, bell], dev, basis="ibmq")
-    b = space_share([bell, bell], dev, basis="ibmq")
+    a = space_share([bell, bell], dev, SHARE)
+    b = space_share([bell, bell], dev, SHARE)
     assert qasm.emit_qasm(a.merged) == qasm.emit_qasm(b.merged)

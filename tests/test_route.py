@@ -1,9 +1,10 @@
 """Routing tests: Sabre behaviour, incremental-front equivalence,
-constrained routing, and qubit prioritization."""
+constrained routing through `transpile`, and qubit prioritization."""
 import numpy as np
 import pytest
 
 from qasmtrans import devicelib, ir, oracle, qasm, route
+from qasmtrans.transpile import TranspileOptions, transpile
 from qasmtrans.circuit import Circuit
 from qasmtrans.errors import Disconnected, NotAPermutation, TooManyQubits, UnsupportedGate
 from qasmtrans.route import RoutingOptions
@@ -37,7 +38,7 @@ def test_bell_on_complete_device_no_swaps():
 
 def test_remote_cx_on_chain_single_swap():
     c = Circuit(3).add("cx", [0, 2])
-    r = route.sabre_route(c, devicelib.line(3), opts=RoutingOptions(expand_swaps=False))
+    r = route.sabre_route(c, devicelib.line(3))
     assert r.swaps_inserted == 1
     # brute force: no zero-swap legalization exists under the identity layout,
     # and some single swap must suffice
@@ -90,8 +91,6 @@ def test_swap_expansion_cx_accounting():
     for seed in range(5):
         c = random_circuit(5, 40, rng)
         expanded = route.sabre_route(c, dev, seed=seed)
-        kept = route.sabre_route(c, dev, seed=seed, opts=RoutingOptions(expand_swaps=False))
-        assert expanded.swaps_inserted == kept.swaps_inserted
         cx_in = sum(1 for g in c.gates if g.name == "cx")
         cx_out = sum(1 for g in expanded.circuit.gates if g.name == "cx")
         assert cx_out - cx_in == 3 * expanded.swaps_inserted
@@ -154,25 +153,27 @@ def test_route_errors():
 
 
 # ---------------------------------------------------------------------------
-# constrained_route
+# constrained routing (transpile with constrain_k)
 # ---------------------------------------------------------------------------
 
 def test_constrained_equals_plain_when_k_is_device(circuits, line5):
     circ = circuits["ghz_n5"]
-    a = route.constrained_route(circ, line5, k=5, seed=2)
-    b = route.sabre_route(circ, line5, seed=2)
+    a = transpile(circ, line5, TranspileOptions(seed=2, constrain_k=5))
+    b = transpile(circ, line5, TranspileOptions(seed=2))
     assert a.circuit.structurally_equal(b.circuit)
+    assert a.initial_layout == b.initial_layout and a.final_layout == b.final_layout
 
 
 def test_constrained_on_heavy_hex():
     dev = devicelib.heavy_hex_127()
     c = Circuit(3).add("h", [0]).add("cx", [0, 1]).add("cx", [1, 2])
-    r = route.constrained_route(c, dev, k=3, seed=0)
-    assert len(r.region_qubits) == 3
+    r = transpile(c, dev, TranspileOptions(constrain_k=3))
+    assert len(r.qubits) == 3
     used = {q for g in r.circuit.gates for q in g.qubits}
-    assert used <= set(r.region_qubits)
+    assert used <= set(r.qubits)
+    _check_topology(r.circuit, dev)
     # the selected region is connected on the device
-    region = set(r.region_qubits)
+    region = set(r.qubits)
     start = next(iter(region))
     seen, stack = {start}, [start]
     while stack:
@@ -186,7 +187,7 @@ def test_constrained_on_heavy_hex():
 
 def test_constrained_k_too_small(circuits, line5):
     with pytest.raises(TooManyQubits):
-        route.constrained_route(circuits["ghz_n5"], line5, k=4)
+        transpile(circuits["ghz_n5"], line5, TranspileOptions(constrain_k=4))
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +196,9 @@ def test_constrained_k_too_small(circuits, line5):
 
 def test_prioritize_equal_counts_identity_tiebreak():
     c = Circuit(3).add("h", [0]).add("h", [1]).add("h", [2])
-    p = route.prioritize_qubits(c, [0, 1, 2])
+    p, perm = route.prioritize_qubits(c, [0, 1, 2])
     assert p.structurally_equal(c)
+    assert perm == [0, 1, 2]
 
 
 def test_prioritize_moves_busiest():
@@ -206,7 +208,8 @@ def test_prioritize_moves_busiest():
     c.add("h", [0]).add("h", [0])
     c.add("x", [1])
     c.measure(3, 0)
-    p = route.prioritize_qubits(c, [2, 1, 0, 3])
+    p, perm = route.prioritize_qubits(c, [2, 1, 0, 3])
+    assert perm == [1, 0, 3, 2]
     counts = [0, 0, 0, 0]
     for g in p.gates:
         counts[g.qubits[0]] += 1
@@ -217,14 +220,14 @@ def test_prioritize_moves_busiest():
 
 def test_prioritize_single_qubit_unchanged():
     c = Circuit(1).add("h", [0])
-    assert route.prioritize_qubits(c, [0]).structurally_equal(c)
+    assert route.prioritize_qubits(c, [0])[0].structurally_equal(c)
 
 
 def test_prioritize_unitary_equivalence_under_permutation():
     rng = np.random.default_rng(12)
     c = random_circuit(4, 20, rng)
     order = [2, 0, 3, 1]
-    p = route.prioritize_qubits(c, order)
+    p, returned = route.prioritize_qubits(c, order)
     counts = [0] * 4
     for g in c.gates:
         for q in g.qubits:
@@ -233,6 +236,7 @@ def test_prioritize_unitary_equivalence_under_permutation():
     perm = [0] * 4
     for pos, q in enumerate(ranked):
         perm[q] = order[pos]
+    assert returned == perm
     u1 = oracle.circuit_unitary(c)
     u2 = oracle.circuit_unitary(p)
     pmat = oracle.permutation_matrix(perm)
