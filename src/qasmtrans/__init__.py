@@ -4,7 +4,7 @@ pulse-level simulator plus ideal statevector oracle."""
 
 from .circuit import Circuit, GateIR, RegisterMap
 from .device import CalibrationData, CouplingGraph, DeviceModel, load_device, partial_graph
-from .ir import CircuitDag, CircuitStats, advance_front, build_dag, decompose_3q, stats
+from .ir import CircuitDag, CircuitStats, build_dag, decompose_3q, stats
 from .lowering import BasisSet, VENDOR_BASES, lower, lower_1q_zxz
 from .place import critical_path, enumerate_embeddings, interaction_graph, select_placement
 from .partition import Region, grow_regions, penalty, seed_regions, space_share
@@ -43,7 +43,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Circuit", "GateIR", "RegisterMap", "Token",
     "tokenize", "parse", "parse_text", "parse_file", "emit_qasm",
-    "CircuitDag", "CircuitStats", "build_dag", "advance_front", "decompose_3q", "stats",
+    "CircuitDag", "CircuitStats", "build_dag", "decompose_3q", "stats",
     "CouplingGraph", "CalibrationData", "DeviceModel", "load_device", "partial_graph",
     "Layout", "RoutingOptions", "RoutingResult",
     "sabre_route", "prioritize_qubits",

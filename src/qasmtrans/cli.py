@@ -42,6 +42,10 @@ CONFLICTS = {
     "--space-share": ("--pulse", "--verify", "--priority", "--constrain-k"),
     "--priority": ("--noise-adaptive", "--refine-layout", "--constrain-k"),
 }
+# flags only a compile reads; without -d they would be ignored (usage error)
+COMPILE_ONLY = ("--backend", "--seed", "--noise-adaptive", "--pulse", "--constrain-k",
+                "--priority", "--verify", "--refine-layout", "--extended-set-size",
+                "--decay-increment", "--decay-reset", "--placement-limit")
 
 # space-share placement enumerates at most this many embeddings per region
 SPACE_SHARE_PLACEMENT_LIMIT = 1000
@@ -94,6 +98,11 @@ def run(cfg: JobConfig) -> int:
                 print(f"warning: {warning}", file=sys.stderr)
         except (QasmTransError, OSError, json.JSONDecodeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return DEVICE_ERROR
+        priority = cfg.transpile.priority
+        if priority is not None and sorted(priority) != list(range(dev.num_qubits)):
+            print(f"error: --priority must be a permutation of 0..{dev.num_qubits - 1}",
+                  file=sys.stderr)
             return DEVICE_ERROR
 
     try:
@@ -225,14 +234,14 @@ def _run_verify(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(prog="qasmtrans verify",
                                  description="check two circuits for equivalence")
     ap.add_argument("circuits", nargs=2)
-    ap.add_argument("--perm", help="comma-separated qubit permutation applied to the second circuit")
+    ap.add_argument("--perm", type=_int_list,
+                    help="comma-separated qubit permutation applied to the second circuit")
     ap.add_argument("--tol", type=float, default=1e-8)
     args = ap.parse_args(argv)
     try:
         c1 = qasm.parse_file(args.circuits[0])
         c2 = qasm.parse_file(args.circuits[1])
-        perm = [int(x) for x in args.perm.split(",")] if args.perm else None
-        ok, dev_val = oracle.equivalent(c1, c2, layout_perm=perm, tol=args.tol)
+        ok, dev_val = oracle.equivalent(c1, c2, layout_perm=args.perm, tol=args.tol)
     except QasmTransError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR
@@ -258,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--pulse", metavar="JSON", help="emit a pulse schedule")
     ap.add_argument("--constrain-k", type=int,
                     help="route inside a connected partial graph of this size")
-    ap.add_argument("--priority", help="comma-separated qubit priority order, highest first")
+    ap.add_argument("--priority", type=_int_list,
+                    help="comma-separated qubit priority order, highest first")
     ap.add_argument("--stats", action="store_true", help="print circuit statistics")
     ap.add_argument("--verify", action="store_true",
                     help="oracle-check the output against the input (small circuits)")
@@ -269,13 +279,27 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--decay-increment", type=float, default=0.001)
     ap.add_argument("--decay-reset", type=int, default=5,
                     help="reset the decay factors every N inserted SWAPs")
-    ap.add_argument("--placement-limit", type=int, default=10000)
+    ap.add_argument("--placement-limit", type=_positive_int, default=10000)
     return ap
 
 
-def _given(args: argparse.Namespace, flag: str) -> bool:
-    value = getattr(args, flag[2:].replace("-", "_"))
-    return value is not None and value is not False
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer: {text!r}")
+    return int(text)
+
+
+def _given(ap: argparse.ArgumentParser, args: argparse.Namespace, flag: str) -> bool:
+    """Whether the flag was set to something other than its parser default."""
+    dest = flag[2:].replace("-", "_")
+    return getattr(args, dest) != ap.get_default(dest)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -293,8 +317,12 @@ def main(argv: list[str] | None = None) -> int:
         ap.error("no input circuits (-i or --space-share)")
     for flag, others in CONFLICTS.items():
         for other in others:
-            if _given(args, flag) and _given(args, other):
+            if _given(ap, args, flag) and _given(ap, args, other):
                 ap.error(f"{flag} cannot be combined with {other}")
+    if args.device is None:
+        for flag in COMPILE_ONLY:
+            if _given(ap, args, flag):
+                ap.error(f"{flag} needs a device (-d)")
     routing = route.RoutingOptions(refinement_rounds=3 if args.refine_layout else 0,
                                    extended_set_size=args.extended_set_size,
                                    decay_increment=args.decay_increment,
@@ -314,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
             noise_adaptive=args.noise_adaptive,
             placement_limit=args.placement_limit,
             constrain_k=args.constrain_k,
-            priority=[int(x) for x in args.priority.split(",")] if args.priority else None,
+            priority=args.priority,
         ),
     )
     return run(cfg)

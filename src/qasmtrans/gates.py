@@ -307,28 +307,27 @@ def expand(name: str, params: tuple, qubits: tuple) -> list[tuple[str, tuple, tu
 def _expansion_matrix(name: str, params: tuple) -> np.ndarray:
     n = GATE_INFO[name][0]
     dim = 1 << n
-    u = np.eye(dim, dtype=complex)
+    t = np.eye(dim, dtype=complex).reshape([2] * n + [dim])
     for child, child_params, qubits in expand(name, params, tuple(range(n))):
-        u = _apply_to_unitary(u, matrix(child, child_params), qubits, n)
-    return u
+        t = apply_matrix(t, matrix(child, child_params), qubits)
+    return t.reshape(dim, dim)
 
 
-def _apply_to_unitary(u: np.ndarray, gate: np.ndarray, qubits: tuple, n: int) -> np.ndarray:
-    """Left-multiply gate (acting on `qubits`) onto the n-qubit unitary u."""
+def apply_matrix(t: np.ndarray, mat: np.ndarray, qubits: tuple) -> np.ndarray:
+    """Apply the k-qubit matrix `mat` to axes `qubits` of t, shaped
+    [2]*n + [batch]: every batch column is an n-qubit state (the columns of
+    a unitary, or a set of probe states). Returns a tensor of the same shape.
+    """
     k = len(qubits)
-    dim = 1 << n
-    t = u.reshape([2] * n + [dim])
-    g = gate.reshape([2] * (2 * k))
-    t = np.tensordot(g, t, axes=(list(range(k, 2 * k)), list(qubits)))
-    # tensordot moved the contracted axes to the front; put them back
-    perm = [0] * (n + 1)
-    rest = [ax for ax in range(n) if ax not in qubits]
-    for i, q in enumerate(qubits):
-        perm[q] = i
-    for i, q in enumerate(rest):
-        perm[q] = k + i
-    perm[n] = n
-    return t.transpose(perm).reshape(dim, dim)
+    t = np.tensordot(mat.reshape([2] * (2 * k)), t, axes=(list(range(k, 2 * k)), list(qubits)))
+    # tensordot moved the gate's output axes to the front; put them back
+    return np.moveaxis(t, list(range(k)), list(qubits))
+
+
+def expm_herm(h: np.ndarray, t: float = 1.0) -> np.ndarray:
+    """exp(i*t*h) for Hermitian h, batched over leading axes."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * (t * w))[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
 # defining matrices for composition gates, for equivalence testing
@@ -368,7 +367,7 @@ def defining_matrix(name: str, params: tuple = ()) -> np.ndarray:
         return controlled(matrix("u3", params))
     if name == "rxx":
         xx = np.fliplr(np.eye(4)).astype(complex)
-        return _expm_herm(-params[0] / 2 * xx)
+        return expm_herm(-params[0] / 2 * xx)
     if name == "rzz":
         return np.diag(np.exp(-1j * params[0] / 2 * np.array([1, -1, -1, 1])))
     if name == "c3x":
@@ -380,8 +379,3 @@ def defining_matrix(name: str, params: tuple = ()) -> np.ndarray:
         return matrix(name, params)
     raise UnknownGate(name)
 
-
-def _expm_herm(h: np.ndarray) -> np.ndarray:
-    """exp(i*h) for Hermitian h."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ v.conj().T

@@ -1,5 +1,6 @@
-"""Circuit-level analyses: dependency DAG with incremental front list,
-3-qubit gate decomposition, and circuit statistics.
+"""Circuit-level analyses: the one gate dependency DAG (with its incremental
+front list; the router and the critical path both build it), 3-qubit gate
+decomposition, and circuit statistics.
 
 Statistics conventions (documented because the literature leaves them open):
   * measurements count as one-qubit operations, in both the gate counts and
@@ -21,29 +22,38 @@ from .errors import NotInFront, UnsupportedGate
 class CircuitDag:
     """Gate dependency DAG with an incrementally maintained front list.
 
-    front holds node ids whose predecessors have all executed; future holds
-    everything else not yet executed. advance_front touches only executed
-    nodes and their newly-enabled successors, never the whole node set.
+    preds[i] are the gates node i waits on (the last earlier gate on each of
+    its qubits) and succ[i] the gates waiting on i. front holds unexecuted
+    nodes whose predecessors have all executed. advance_front touches only
+    executed nodes and their newly-enabled successors, never the whole node
+    set.
     """
 
     def __init__(self, circuit: Circuit):
         n = len(circuit.gates)
         self.circuit = circuit
+        self.num_nodes = n
+        self.preds: list[tuple] = [()] * n
         self.succ: list[list[int]] = [[] for _ in range(n)]
         self.pred_remaining: list[int] = [0] * n
-        self.front: set[int] = set()
-        self.future: set[int] = set()
+        self.executed: list[bool] = [False] * n
         self.executed_count = 0
-        self.num_nodes = n
         last: dict[int, int] = {}
         for i, g in enumerate(circuit.gates):
-            preds = {last[q] for q in g.qubits if q in last}
-            self.pred_remaining[i] = len(preds)
-            for p in preds:
+            ps = {last[q] for q in g.qubits if q in last}
+            self.preds[i] = tuple(ps)
+            self.pred_remaining[i] = len(ps)
+            for p in ps:
                 self.succ[p].append(i)
             for q in g.qubits:
                 last[q] = i
-            (self.front if not preds else self.future).add(i)
+        self.front: set[int] = {i for i in range(n) if not self.pred_remaining[i]}
+
+    @property
+    def future(self) -> set[int]:
+        """Nodes neither executed nor in the front."""
+        return {i for i in range(self.num_nodes)
+                if not self.executed[i] and i not in self.front}
 
     def gate(self, node: int) -> GateIR:
         return self.circuit.gates[node]
@@ -53,29 +63,27 @@ class CircuitDag:
 
         Cost is proportional to len(executed) plus the number of enabled
         successors, never to the total gate count."""
+        front = self.front
         for node in executed:
-            if node not in self.front:
+            if node not in front:
                 raise NotInFront(node)
+        rem = self.pred_remaining
         for node in executed:
-            self.front.discard(node)
-            self.executed_count += 1
+            front.discard(node)
+            self.executed[node] = True
             for s in self.succ[node]:
-                self.pred_remaining[s] -= 1
-                if self.pred_remaining[s] == 0:
-                    self.future.discard(s)
-                    self.front.add(s)
+                rem[s] -= 1
+                if rem[s] == 0:
+                    front.add(s)
+        self.executed_count += len(executed)
         return self
 
     def done(self) -> bool:
-        return not self.front and not self.future
+        return self.executed_count == self.num_nodes
 
 
 def build_dag(circuit: Circuit) -> CircuitDag:
     return CircuitDag(circuit)
-
-
-def advance_front(dag: CircuitDag, executed) -> CircuitDag:
-    return dag.advance_front(executed)
 
 
 def topological_order(dag: CircuitDag) -> list[int]:

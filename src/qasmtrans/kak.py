@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gates
 from .errors import DimensionMismatch
 
 _MAGIC = np.array(
@@ -39,9 +40,7 @@ _IPZ = np.array([[1j, 0], [0, -1j]], dtype=complex)
 
 def weyl_gate(a: float, b: float, c: float) -> np.ndarray:
     """exp(i (a XX + b YY + c ZZ)), the nonlocal canonical gate."""
-    h = a * _XX + b * _YY + c * _ZZ
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ v.conj().T
+    return gates.expm_herm(a * _XX + b * _YY + c * _ZZ)
 
 
 @dataclass

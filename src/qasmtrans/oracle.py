@@ -4,6 +4,11 @@ This is the verification backbone for every transpilation pass: gate
 matrices are applied exactly, so any pass can be checked for unitary
 equivalence up to a layout permutation and a global phase.
 
+States, unitaries and probe sets are all one tensor shape, [2]*n + [batch]
+(one column per state), evolved by `gates.apply_matrix`. Layout
+permutations are applied as axis transposes, never as dense operators, and
+the statevector probes of `pipeline_equivalent` run as one batch.
+
 Qubit 0 is the most significant bit of the state index, matching the
 matrix convention in gates.py.
 """
@@ -11,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import gates
 from .circuit import Circuit
 from .errors import DimensionMismatch, TooManyQubits
 
@@ -24,19 +30,17 @@ def zero_state(n: int) -> np.ndarray:
     return psi
 
 
-def apply_gate(state: np.ndarray, mat: np.ndarray, qubits: tuple, n: int) -> np.ndarray:
-    """Apply a k-qubit gate matrix to the given qubit axes of the state."""
-    k = len(qubits)
-    t = state.reshape([2] * n)
-    g = mat.reshape([2] * (2 * k))
-    t = np.tensordot(g, t, axes=(list(range(k, 2 * k)), list(qubits)))
-    perm = [0] * n
-    rest = [ax for ax in range(n) if ax not in qubits]
-    for i, q in enumerate(qubits):
-        perm[q] = i
-    for i, q in enumerate(rest):
-        perm[q] = k + i
-    return t.transpose(perm).reshape(-1)
+def _evolve(circuit: Circuit, t: np.ndarray) -> np.ndarray:
+    """Run the gate list over t, shaped [2]*n + [batch]."""
+    for g in circuit.gates:
+        if not g.is_barrier:
+            t = gates.apply_matrix(t, g.matrix, g.qubits)
+    return t
+
+
+def _check_sim_cap(n: int):
+    if n > MAX_SIM_QUBITS:
+        raise TooManyQubits(f"{n} qubits exceeds simulate cap {MAX_SIM_QUBITS}")
 
 
 def simulate(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
@@ -45,20 +49,14 @@ def simulate(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
     Measurements are terminal in this representation, so they never
     interleave with gates; the returned state is pre-measurement."""
     n = circuit.num_qubits
-    if n > MAX_SIM_QUBITS:
-        raise TooManyQubits(f"{n} qubits exceeds simulate cap {MAX_SIM_QUBITS}")
+    _check_sim_cap(n)
     if initial is None:
         state = zero_state(n)
     else:
-        state = np.asarray(initial, dtype=complex).reshape(-1)
+        state = np.array(initial, dtype=complex).reshape(-1)
         if state.size != 1 << n:
             raise DimensionMismatch(f"initial state has {state.size} amplitudes, expected {1 << n}")
-        state = state.copy()
-    for g in circuit.gates:
-        if g.is_barrier:
-            continue
-        state = apply_gate(state, g.matrix, g.qubits, n)
-    return state
+    return _evolve(circuit, state.reshape([2] * n + [1])).reshape(-1)
 
 
 def circuit_unitary(circuit: Circuit, max_qubits: int = MAX_UNITARY_QUBITS) -> np.ndarray:
@@ -67,28 +65,7 @@ def circuit_unitary(circuit: Circuit, max_qubits: int = MAX_UNITARY_QUBITS) -> n
     if n > max_qubits:
         raise TooManyQubits(f"{n} qubits exceeds unitary cap {max_qubits}")
     dim = 1 << n
-    u = np.eye(dim, dtype=complex)
-    for g in circuit.gates:
-        if g.is_barrier:
-            continue
-        u = _apply_left(u, g.matrix, g.qubits, n)
-    return u
-
-
-def _apply_left(u: np.ndarray, mat: np.ndarray, qubits: tuple, n: int) -> np.ndarray:
-    k = len(qubits)
-    dim = 1 << n
-    t = u.reshape([2] * n + [dim])
-    g = mat.reshape([2] * (2 * k))
-    t = np.tensordot(g, t, axes=(list(range(k, 2 * k)), list(qubits)))
-    perm = [0] * (n + 1)
-    rest = [ax for ax in range(n) if ax not in qubits]
-    for i, q in enumerate(qubits):
-        perm[q] = i
-    for i, q in enumerate(rest):
-        perm[q] = k + i
-    perm[n] = n
-    return t.transpose(perm).reshape(dim, dim)
+    return _evolve(circuit, np.eye(dim, dtype=complex).reshape([2] * n + [dim])).reshape(dim, dim)
 
 
 def permutation_matrix(perm) -> np.ndarray:
@@ -116,6 +93,16 @@ def permute_state(state: np.ndarray, perm) -> np.ndarray:
     for i in range(n):
         axes[perm[i]] = i
     return t.transpose(axes).reshape(-1)
+
+
+def _relabel(u: np.ndarray, rows, cols) -> np.ndarray:
+    """P(rows)^dag u P(cols), with P(perm) = permutation_matrix(perm), as an
+    axis transpose of u instead of two dense products."""
+    n = u.shape[0].bit_length() - 1
+    if sorted(rows) != list(range(n)) or sorted(cols) != list(range(n)):
+        raise DimensionMismatch(f"layout is not a permutation of 0..{n - 1}")
+    axes = list(rows) + [n + c for c in cols]
+    return u.reshape([2] * (2 * n)).transpose(axes).reshape(u.shape)
 
 
 def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -146,8 +133,7 @@ def equivalent(c1: Circuit, c2: Circuit, layout_perm=None, tol: float = 1e-8):
     u1 = circuit_unitary(c1)
     u2 = circuit_unitary(c2)
     if layout_perm is not None:
-        p = permutation_matrix(layout_perm)
-        u2 = p.conj().T @ u2 @ p
+        u2 = _relabel(u2, layout_perm, layout_perm)
     dev = phase_aligned_distance(u2, u1)
     return dev <= tol, dev
 
@@ -185,22 +171,24 @@ def pipeline_equivalent(original: Circuit, routed: Circuit, initial_layout,
         u1 = np.kron(u1, np.eye(1 << (big_n - n)))
     pad = [initial_layout[v] for v in range(n)]
     pad += sorted(set(range(big_n)) - set(pad))
-    p_in = permutation_matrix(pad)
     pad_f = [final_layout[v] for v in range(n)]
     pad_f += sorted(set(range(big_n)) - set(pad_f))
-    p_out = permutation_matrix(pad_f)
-    u2 = circuit_unitary(routed)
-    lhs = p_out.conj().T @ u2 @ p_in
+    lhs = _relabel(circuit_unitary(routed), pad_f, pad)
     dev = phase_aligned_distance(lhs, u1)
     return dev <= tol, dev
 
 
 def _state_probe_equivalent(original, routed, initial_layout, final_layout,
                             tol, num_states, seed):
+    """Run |0..0> and num_states random product states through both
+    circuits as one batch; the deviation is the worst over all probes."""
     n = original.num_qubits
     big_n = routed.num_qubits
+    _check_sim_cap(n)
+    _check_sim_cap(big_n)
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    slot = {initial_layout[v]: v for v in range(n)}
+    refs, embs = [], []
     for trial in range(num_states + 1):
         if trial == 0:
             local = [np.array([1.0, 0.0], dtype=complex)] * n
@@ -212,24 +200,23 @@ def _state_probe_equivalent(original, routed, initial_layout, final_layout,
         psi = local[0]
         for v in local[1:]:
             psi = np.kron(psi, v)
-        ref = simulate(original.without_measurements(), psi)
+        refs.append(psi)
         # embed: virtual qubit v sits at physical initial_layout[v], rest |0>
         emb = np.array([1.0], dtype=complex)
-        slot = {initial_layout[v]: v for v in range(n)}
         for p in range(big_n):
             emb = np.kron(emb, local[slot[p]] if p in slot else np.array([1.0, 0.0]))
-        out = simulate(routed.without_measurements(), emb)
-        # pull virtual qubits back out of their final physical slots
-        expect_big = np.array([1.0], dtype=complex)
-        t = out.reshape([2] * big_n)
-        order = [final_layout[v] for v in range(n)]
-        order += sorted(set(range(big_n)) - set(order))
-        t = t.transpose(order).reshape(1 << n, -1)
+        embs.append(emb)
+    batch = len(refs)
+    ref = _evolve(original, np.stack(refs, axis=-1).reshape([2] * n + [batch]))
+    ref = ref.reshape(1 << n, batch)
+    out = _evolve(routed, np.stack(embs, axis=-1).reshape([2] * big_n + [batch]))
+    # pull virtual qubits back out of their final physical slots
+    order = [final_layout[v] for v in range(n)]
+    order += sorted(set(range(big_n)) - set(order))
+    t = out.transpose(order + [big_n]).reshape(1 << n, -1, batch)
+    worst = 0.0
+    for j in range(batch):
         # unused physical qubits must remain |0>
-        rest_norm = np.linalg.norm(t[:, 1:])
-        got = t[:, 0]
-        dev = max(phase_aligned_distance(got, ref), float(rest_norm))
-        worst = max(worst, dev)
-        if worst > tol:
-            return False, worst
-    return True, worst
+        rest_norm = float(np.linalg.norm(t[:, 1:, j]))
+        worst = max(worst, phase_aligned_distance(t[:, 0, j], ref[:, j]), rest_norm)
+    return worst <= tol, worst

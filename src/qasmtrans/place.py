@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from .circuit import Circuit, GateIR
 from .device import CouplingGraph, DeviceModel
 from .errors import MissingDuration, NoEmbedding
+from .ir import CircuitDag
 from .route import Layout
 
 
@@ -156,15 +157,10 @@ def critical_path(circuit: Circuit, durations) -> tuple[list[GateIR], float]:
     if n == 0:
         return [], 0.0
     dur = [table.duration(g) for g in gates_]
+    preds = CircuitDag(circuit).preds
     end = [0.0] * n
-    preds: list[tuple] = [()] * n
-    last: dict[int, int] = {}
-    for i, g in enumerate(gates_):
-        ps = {last[q] for q in g.qubits if q in last}
-        preds[i] = tuple(sorted(ps))
-        end[i] = dur[i] + max((end[p] for p in ps), default=0.0)
-        for q in g.qubits:
-            last[q] = i
+    for i in range(n):
+        end[i] = dur[i] + max((end[p] for p in preds[i]), default=0.0)
     latency = max(end)
     tol = 1e-9 * max(1.0, latency)
     tail = min(i for i in range(n) if abs(end[i] - latency) <= tol)

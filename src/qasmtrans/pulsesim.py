@@ -27,10 +27,11 @@ holds the constant part of H, summed once, plus the (fn, operator) terms
 that vary in time. Varying control values are evaluated on the step grid
 in chunks of at most CHUNK_STEPS steps, one tensordot per chunk.
 
-Propagators take one exact eigh step across a window with no varying term
-and fixed-step midpoint-Magnus (batched eigh per chunk) elsewhere. Lindblad
-runs use classic RK4 at fixed dt with the anticommutator and the -gamma/2
-rho terms folded into a non-Hermitian G = H - iA, so one stage is
+Propagators take one exact exponential (`gates.expm_herm`) across a window
+with no varying term and fixed-step midpoint-Magnus (one batched
+`expm_herm` per chunk) elsewhere. Lindblad runs use classic RK4 at fixed
+dt with the anticommutator and the -gamma/2 rho terms folded into a
+non-Hermitian G = H - iA, so one stage is
 M = -i G rho, k = M + M^dag + J(rho), where J is the jump map precomputed
 as a gather over the (monomial) collapse and dephasing operators.
 """
@@ -42,6 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import gates
 from .errors import DimensionMismatch, InvalidStep, StepTooLarge
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -259,8 +261,7 @@ def propagate(model: PulseModel, horizon: float | None = None) -> np.ndarray:
         for c0 in range(0, steps, CHUNK_STEPS):
             hs = win.h_at([win.t0 + (k + 0.5) * h
                            for k in range(c0, min(steps, c0 + CHUNK_STEPS))])
-            w, v = np.linalg.eigh(hs)
-            for e in (v * np.exp(-1j * w * h)[:, None, :]) @ v.conj().transpose(0, 2, 1):
+            for e in gates.expm_herm(hs, -h):
                 u = e @ u
     return u
 

@@ -1,11 +1,12 @@
 """Sabre-style SWAP-insertion routing with an incremental front layer, and
 user-guided qubit prioritization.
 
-The front layer is maintained incrementally: executing a gate only touches
-its successors, so the per-step cost tracks the active width of the circuit
-instead of its total gate count. A rescan reference mode recomputes the
-front from scratch after every step and must produce gate-identical output;
-it exists for equivalence testing and for measuring the incremental win.
+The front layer is maintained incrementally by `ir.CircuitDag`: executing a
+gate only touches its successors, so the per-step cost tracks the active
+width of the circuit instead of its total gate count. A rescan reference
+mode recomputes the front from scratch after every step and must produce
+gate-identical output; it exists for equivalence testing and for measuring
+the incremental win.
 
 Scoring follows the classic decay heuristic: for a candidate swap s,
     score(s) = max(decay[a], decay[b]) * (sum_F D[pi(q1)][pi(q2)]
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 from .circuit import Circuit, GateIR
 from .device import DeviceModel
 from .errors import Disconnected, NotAPermutation, TooManyQubits, UnsupportedGate
+from .ir import CircuitDag
 
 
 @dataclass
@@ -86,59 +88,35 @@ class _Router:
             self.sigma[p] = v
         self.dist = device.coupling.distance_matrix
         self.gates = circuit.gates
-        self._build_dag()
-
-    def _build_dag(self):
-        n = len(self.gates)
-        self.succ: list[list[int]] = [[] for _ in range(n)]
-        self.preds: list[tuple] = [()] * n
-        self.remaining_pred: list[int] = [0] * n
-        self.executed = [False] * n
-        last: dict[int, int] = {}
-        for i, g in enumerate(self.gates):
-            ps = {last[q] for q in g.qubits if q in last}
-            self.preds[i] = tuple(ps)
-            self.remaining_pred[i] = len(ps)
-            for p in ps:
-                self.succ[p].append(i)
-            for q in g.qubits:
-                last[q] = i
-        self.front = {i for i in range(n) if self.remaining_pred[i] == 0}
-        self.num_remaining = n
-        self.pending = list(range(n))
+        self.dag = CircuitDag(circuit)
+        self.pending = list(range(len(self.gates)))
 
     # --- front maintenance -------------------------------------------------
 
     def _advance(self, executed_nodes: list[int]):
+        dag = self.dag
+        if self.opts.front_mode != "rescan":
+            dag.advance_front(executed_nodes)
+            return
+        # reference behaviour: walk every not-yet-executed node and
+        # re-derive readiness from scratch
+        executed = dag.executed
         for node in executed_nodes:
-            self.executed[node] = True
-        self.num_remaining -= len(executed_nodes)
-        if self.opts.front_mode == "rescan":
-            # reference behaviour: walk every not-yet-executed node and
-            # re-derive readiness from scratch
-            executed = self.executed
-            preds = self.preds
-            pending = [i for i in self.pending if not executed[i]]
-            self.pending = pending
-            front = set()
-            for i in pending:
-                ok = True
-                for p in preds[i]:
-                    if not executed[p]:
-                        ok = False
-                        break
-                if ok:
-                    front.add(i)
-            self.front = front
-        else:
-            front = self.front
-            rem = self.remaining_pred
-            for node in executed_nodes:
-                front.discard(node)
-                for s in self.succ[node]:
-                    rem[s] -= 1
-                    if rem[s] == 0:
-                        front.add(s)
+            executed[node] = True
+        dag.executed_count += len(executed_nodes)
+        preds = dag.preds
+        pending = [i for i in self.pending if not executed[i]]
+        self.pending = pending
+        front = set()
+        for i in pending:
+            ok = True
+            for p in preds[i]:
+                if not executed[p]:
+                    ok = False
+                    break
+            if ok:
+                front.add(i)
+        dag.front = front
 
     # --- main loop ----------------------------------------------------------
 
@@ -152,10 +130,11 @@ class _Router:
         stall = 0
         stall_cap = 20 + 3 * self.n_phys
         adjacency = self.device.coupling.adjacency
-        while self.front:
+        dag = self.dag
+        while dag.front:
             execable = []
             blocked_pairs = []
-            for node in sorted(self.front):
+            for node in sorted(dag.front):
                 g = self.gates[node]
                 if g.is_barrier or len(g.qubits) == 1:
                     execable.append(node)
@@ -228,13 +207,14 @@ class _Router:
         if limit <= 0:
             return []
         pi = self.pi
+        succ = self.dag.succ
         seen = set()
-        layer = sorted(self.front)
+        layer = sorted(self.dag.front)
         ext: list[tuple[int, int]] = []
         while layer and len(ext) < limit:
             nxt = []
             for node in layer:
-                for s in self.succ[node]:
+                for s in succ[node]:
                     if s in seen:
                         continue
                     seen.add(s)

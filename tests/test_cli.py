@@ -131,6 +131,45 @@ def test_priority_conflicts_are_usage_errors(tmp_path, line5_json, capsys, flags
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [["--priority", "1,a"], ["--priority", "0,1"],
+                                   ["--priority", "0,0,1,2,3"],
+                                   ["--placement-limit", "0", "--noise-adaptive"],
+                                   ["--placement-limit", "-5", "--noise-adaptive"]],
+                         ids=["priority-not-int", "priority-short", "priority-repeat",
+                              "limit-zero", "limit-negative"])
+def test_bad_priority_or_limit_is_usage_error(tmp_path, line5_json, capsys, flags):
+    # these used to end in a traceback (exit 1) or an invariant breach (exit 4)
+    out = tmp_path / "bp.qasm"
+    try:
+        code = _run(["-i", str(FIXTURES / "bell.qasm"), "-d", line5_json, "-o", str(out),
+                     *flags])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and flags[0] in errors[0]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags", [["--verify"], ["--pulse", "PULSE"], ["--constrain-k", "3"],
+                                   ["--noise-adaptive"], ["--seed", "3"], ["-b", "ibmq"]],
+                         ids=["verify", "pulse", "constrain-k", "noise-adaptive", "seed",
+                              "backend"])
+def test_compile_only_flags_need_a_device(tmp_path, capsys, flags):
+    # without -d these used to be ignored, with exit 0
+    flags = [str(tmp_path / "p.json") if f == "PULSE" else f for f in flags]
+    with pytest.raises(SystemExit) as exc:
+        _run(["-i", str(FIXTURES / "bell.qasm"), "-o", str(tmp_path / "nd.qasm"), *flags])
+    assert exc.value.code == 2
+    assert "needs a device (-d)" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_compile_flags_at_their_defaults_need_no_device(tmp_path):
+    assert _run(["-i", str(FIXTURES / "bell.qasm"), "-o", str(tmp_path / "d.qasm"),
+                 "--seed", "0", "--placement-limit", "10000", "--stats"]) == 0
+
+
 def test_space_share_cli(tmp_path, line5_json, toronto_json):
     out = tmp_path / "ss.qasm"
     rc = _run(["--space-share", str(FIXTURES / "bell.qasm"), str(FIXTURES / "bell.qasm"),
@@ -236,6 +275,20 @@ def test_verify_subcommand_detects_difference(tmp_path, capsys):
     other.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nx q[0];\n')
     rc = _run(["verify", str(FIXTURES / "bell.qasm"), str(other)])
     assert rc == 1
+
+
+@pytest.mark.parametrize("perm, code", [("1,a", 2), ("0,0", 1)], ids=["not-int", "repeat"])
+def test_verify_bad_perm_is_one_error_line(capsys, perm, code):
+    # "1,a" used to end in a ValueError traceback; "0,0" was turned into a
+    # non-unitary "permutation" matrix
+    bell = str(FIXTURES / "bell.qasm")
+    try:
+        rc = _run(["verify", bell, bell, "--perm", perm])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == code
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1
 
 
 def test_simulate_subcommand(tmp_path, capsys):

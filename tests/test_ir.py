@@ -32,6 +32,7 @@ def test_dag_three_gate_chain():
     d = ir.build_dag(c)
     assert d.front == {0}
     assert d.succ[0] == [1] and d.succ[1] == [2]
+    assert d.preds == [(), (0,), (1,)]
 
 
 def test_advance_front_serial_chain():

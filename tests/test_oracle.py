@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from qasmtrans import gates, ir, oracle, qasm
-from qasmtrans.circuit import Circuit
+from qasmtrans import devicelib, gates, ir, oracle, qasm
+from qasmtrans.circuit import Circuit, GateIR
 from qasmtrans.errors import DimensionMismatch, TooManyQubits
 from qasmtrans.lowering import lower
+from qasmtrans.transpile import transpile
 
 from conftest import phase_distance, random_circuit
 
@@ -141,3 +142,45 @@ def test_permutation_matrix_roundtrip():
     assert np.allclose(p @ p.conj().T, np.eye(16))
     psi = rng.normal(size=16) + 1j * rng.normal(size=16)
     assert np.allclose(p @ psi, oracle.permute_state(psi, perm))
+
+
+def test_relabel_matches_dense_permutation_products():
+    # the oracle applies layouts as axis transposes; they must equal the
+    # dense P(rows)^dag U P(cols) products they replace
+    rng = np.random.default_rng(9)
+    u = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    rows, cols = list(rng.permutation(4)), list(rng.permutation(4))
+    dense = oracle.permutation_matrix(rows).conj().T @ u @ oracle.permutation_matrix(cols)
+    assert np.array_equal(oracle._relabel(u, rows, cols), dense)
+    with pytest.raises(DimensionMismatch):
+        oracle.equivalent(Circuit(2).add("x", [0]), Circuit(2).add("x", [1]),
+                          layout_perm=[0, 0])
+
+
+def test_probe_path_rejects_mutants():
+    # 9 circuit qubits on a 12-qubit grid: above MAX_UNITARY_QUBITS, so the
+    # batched statevector probes decide
+    rng = np.random.default_rng(21)
+    circ = random_circuit(9, 60, rng)
+    res = transpile(circ, devicelib.grid(3, 4))
+    routed, initial, final = res.circuit, res.initial_layout, res.final_layout
+    assert circ.num_qubits > oracle.MAX_UNITARY_QUBITS
+    ok, dev = oracle.pipeline_equivalent(circ, routed, initial, final)
+    assert ok, dev
+
+    def with_gates(before=(), after=()):
+        return Circuit(routed.num_qubits, [*before, *routed.gates, *after])
+
+    # leaves |0..0> unchanged: only the random product probes see it
+    phased = with_gates(before=[GateIR("u1", (initial[0],), (1e-3,))])
+    assert oracle.pipeline_equivalent(circ, phased, initial, final, num_states=0)[0]
+    ok, dev = oracle.pipeline_equivalent(circ, phased, initial, final)
+    assert not ok and dev > 1e-6
+    # a physical qubit that holds no virtual qubit at the end must be |0>
+    spare = min(set(range(routed.num_qubits)) - set(final))
+    excited = with_gates(after=[GateIR("x", (spare,))])
+    ok, dev = oracle.pipeline_equivalent(circ, excited, initial, final)
+    assert not ok and dev > 0.5
+    swapped = [final[1], final[0], *final[2:]]
+    ok, dev = oracle.pipeline_equivalent(circ, routed, initial, swapped)
+    assert not ok and dev > 1e-4

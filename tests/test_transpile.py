@@ -67,12 +67,13 @@ def test_trace_wrappers_see_every_pass(tmp_path):
     try:
         assert tracer.missing == {}
         assert cli.main(["-i", bell, "-d", str(dev), "-o", str(tmp_path / "a.qasm"),
-                         "--noise-adaptive"]) == 0
+                         "--noise-adaptive", "--verify"]) == 0
         assert cli.main(["--space-share", bell, bell, "-d", str(dev),
                          "-o", str(tmp_path / "b.qasm"), "--noise-adaptive"]) == 0
     finally:
         undo()
     passes = {"route.sabre", "place.select", "lowering.lower"}
-    assert passes | {"partition.space_share"} <= set(tracer.names)
+    assert passes | {"partition.space_share", "oracle.verify",
+                     "place.critical_path"} <= set(tracer.names)
     assert passes <= set(tracer.self_times(under="partition.space_share"))
     assert not tracer.broken()
