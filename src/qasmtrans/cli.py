@@ -11,7 +11,8 @@ noise-adaptive pass ran. Timings are the only nondeterministic fields; all
 other artifacts are byte-identical across identical invocations.
 
 Exit codes: 0 success, 1 parse error, 2 device error or a usage error (flags
-that cannot be combined), 3 routing infeasible, 4 internal invariant breach.
+that cannot be combined, a bad `verify --perm`, `verify` circuits of
+different widths), 3 routing infeasible, 4 internal invariant breach.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ from . import ir, oracle, partition, pulse, qasm, route
 # bound here only because perfbench/spans.py wraps `cli.lower_circuit`
 from .lowering import lower as lower_circuit  # noqa: F401
 from .errors import (
+    DimensionMismatch,
     Disconnected,
     Infeasible,
     QasmTransError,
@@ -36,6 +38,7 @@ from .errors import (
 from .transpile import TranspileOptions, timed, transpile
 
 PARSE_ERROR, DEVICE_ERROR, ROUTING_ERROR, INTERNAL_ERROR = 1, 2, 3, 4
+USAGE_ERROR = 2                    # argparse exits with the same code
 
 # flag -> flags it cannot be combined with (argparse usage error, exit 2)
 CONFLICTS = {
@@ -103,7 +106,7 @@ def run(cfg: JobConfig) -> int:
         if priority is not None and sorted(priority) != list(range(dev.num_qubits)):
             print(f"error: --priority must be a permutation of 0..{dev.num_qubits - 1}",
                   file=sys.stderr)
-            return DEVICE_ERROR
+            return USAGE_ERROR
 
     try:
         if cfg.space_share:
@@ -242,9 +245,11 @@ def _run_verify(argv: list[str]) -> int:
         c1 = qasm.parse_file(args.circuits[0])
         c2 = qasm.parse_file(args.circuits[1])
         ok, dev_val = oracle.equivalent(c1, c2, layout_perm=args.perm, tol=args.tol)
-    except QasmTransError as exc:
+    except (QasmTransError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return PARSE_ERROR
+        # a --perm that is no permutation of the qubits, or circuits of
+        # different widths, is bad usage, not a parse error
+        return USAGE_ERROR if isinstance(exc, DimensionMismatch) else PARSE_ERROR
     print(f"{'equivalent' if ok else 'NOT equivalent'} (max deviation {dev_val:.3e})")
     return 0 if ok else 1
 

@@ -55,9 +55,6 @@ class CircuitDag:
         return {i for i in range(self.num_nodes)
                 if not self.executed[i] and i not in self.front}
 
-    def gate(self, node: int) -> GateIR:
-        return self.circuit.gates[node]
-
     def advance_front(self, executed) -> "CircuitDag":
         """Mark front nodes as executed and pull newly-enabled successors in.
 

@@ -15,13 +15,21 @@ over the front layer F and an extended lookahead set E (up to 20 gates),
 with decay = 1 + 0.001 * uses, reset every 5 inserted SWAPs. Ties break by
 a seeded splitmix64 hash, then by the lower edge index, so identical
 (circuit, device, seed) inputs give byte-identical output.
+
+The score is computed in delta form (as in LightSABRE): a swap on (a, b)
+only changes the distance of pairs with an end on a or b, so each candidate
+adds dist[new] - dist[old] over those pairs to the current integer sums.
+The extended sum is divided by |E| once, so every score equals the direct
+sum bit for bit. The hash is computed only when two or more candidates tie
+at the minimum score. E depends on the front alone: its virtual pairs are
+rebuilt when the front advances, and mapped through pi at each swap.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .circuit import Circuit, GateIR
-from .device import DeviceModel
+from .device import INF, DeviceModel
 from .errors import Disconnected, NotAPermutation, TooManyQubits, UnsupportedGate
 from .ir import CircuitDag
 
@@ -89,7 +97,8 @@ class _Router:
         self.dist = device.coupling.distance_matrix
         self.gates = circuit.gates
         self.dag = CircuitDag(circuit)
-        self.pending = list(range(len(self.gates)))
+        if opts.front_mode == "rescan":
+            self.pending = list(range(len(self.gates)))
 
     # --- front maintenance -------------------------------------------------
 
@@ -130,7 +139,10 @@ class _Router:
         stall = 0
         stall_cap = 20 + 3 * self.n_phys
         adjacency = self.device.coupling.adjacency
+        n_phys = self.n_phys
         dag = self.dag
+        ext_version = -1                   # executed_count the cached extended set is for
+        ext_virt: list[tuple[int, int]] = []
         while dag.front:
             execable = []
             blocked_pairs = []
@@ -152,7 +164,7 @@ class _Router:
                 continue
             # every front gate is a blocked two-qubit gate: insert one swap
             for pa, pb in blocked_pairs:
-                if dist[pa][pb] == float("inf"):
+                if dist[pa][pb] == INF:
                     raise Disconnected(
                         f"qubits {pa} and {pb} lie in different coupling components")
             stall += 1
@@ -161,32 +173,71 @@ class _Router:
                 swaps += dist[blocked_pairs[0][0]][blocked_pairs[0][1]] - 1
                 stall = 0
                 continue
-            active = {p for pair in blocked_pairs for p in pair}
-            candidates = set()
-            for p in active:
-                for q in adjacency[p]:
-                    candidates.add((min(p, q), max(p, q)))
-            ext = self._extended_set()
-            best = None
-            for (a, b) in sorted(candidates):
-                f_sum = 0
-                for pa, pb in blocked_pairs:
-                    qa = b if pa == a else a if pa == b else pa
-                    qb = b if pb == a else a if pb == b else pb
-                    f_sum += dist[qa][qb]
-                e_sum = 0.0
-                if ext:
-                    for pa, pb in ext:
-                        qa = b if pa == a else a if pa == b else pa
-                        qb = b if pb == a else a if pb == b else pb
-                        e_sum += dist[qa][qb]
-                    e_sum /= len(ext)
-                score = max(decay[a], decay[b]) * (f_sum + 0.5 * e_sum)
-                tie = _splitmix64(self.seed ^ _splitmix64((swaps << 17) ^ (a << 8) ^ b))
-                key = (score, tie, a, b)
-                if best is None or key < best[0]:
-                    best = (key, a, b)
-            _, a, b = best
+            if dag.executed_count != ext_version:
+                ext_version = dag.executed_count
+                ext_virt = self._extended_pairs()
+            # Delta scoring: a swap on (a, b) only moves the pairs with an end
+            # on a or b, so each candidate adds dist[new] - dist[old] over
+            # those to the base sums. A blocked pair's partner is unique per
+            # qubit (front gates share no qubits); extended pairs may repeat.
+            # A pair on both a and b keeps its distance and is skipped.
+            f_partner = [-1] * n_phys
+            f_base = 0
+            for pa, pb in blocked_pairs:
+                f_partner[pa] = pb
+                f_partner[pb] = pa
+                f_base += dist[pa][pb]
+            e_partners: list[tuple[int, ...]] = [()] * n_phys
+            e_base = 0
+            for va, vb in ext_virt:
+                pa, pb = pi[va], pi[vb]
+                e_partners[pa] += (pb,)
+                e_partners[pb] += (pa,)
+                e_base += dist[pa][pb]
+            n_ext = len(ext_virt)
+            if e_base == INF:
+                # a swap never joins two coupling components: the sum stays
+                # infinite for every candidate, and its deltas would be nan
+                e_partners = [()] * n_phys
+            # candidates: every coupling edge on a blocked qubit a, each once
+            best = INF
+            ties: list[tuple[int, int]] = []
+            for pair in blocked_pairs:
+                for a in pair:
+                    ya = f_partner[a]
+                    da = dist[a]
+                    ea = e_partners[a]
+                    for b in adjacency[a]:
+                        yb = f_partner[b]
+                        if yb >= 0 and b < a:
+                            continue            # scored from b's side
+                        db = dist[b]
+                        f_sum = f_base + db[ya] - da[ya]
+                        if yb >= 0:
+                            f_sum += da[yb] - db[yb]
+                        e_sum = e_base
+                        for y in ea:
+                            if y != b:
+                                e_sum += db[y] - da[y]
+                        for y in e_partners[b]:
+                            if y != a:
+                                e_sum += da[y] - db[y]
+                        if n_ext:
+                            e_sum /= n_ext
+                        w = decay[a] if decay[a] >= decay[b] else decay[b]
+                        score = w * (f_sum + 0.5 * e_sum)
+                        if score < best or not ties:
+                            best = score
+                            ties = [(a, b) if a < b else (b, a)]
+                        elif score == best:
+                            ties.append((a, b) if a < b else (b, a))
+            if len(ties) == 1:
+                a, b = ties[0]
+            else:
+                # seeded hash on ties only, then the lower edge
+                _, a, b = min(
+                    (_splitmix64(self.seed ^ _splitmix64((swaps << 17) ^ (a << 8) ^ b)), a, b)
+                    for a, b in ties)
             self._emit_swap(a, b, out)
             swaps += 1
             va, vb = sigma[a], sigma[b]
@@ -201,12 +252,13 @@ class _Router:
                 decay[b] += opts.decay_increment
         return out, swaps
 
-    def _extended_set(self) -> list[tuple[int, int]]:
-        """Up to extended_set_size two-qubit successor gates of the front."""
+    def _extended_pairs(self) -> list[tuple[int, int]]:
+        """Virtual qubit pairs of up to extended_set_size two-qubit successor
+        gates of the front, in breadth-first order. Depends on the front
+        only, so run() calls it once per front advance, not per swap."""
         limit = self.opts.extended_set_size
         if limit <= 0:
             return []
-        pi = self.pi
         succ = self.dag.succ
         seen = set()
         layer = sorted(self.dag.front)
@@ -220,7 +272,7 @@ class _Router:
                     seen.add(s)
                     g = self.gates[s]
                     if len(g.qubits) == 2 and not g.is_barrier:
-                        ext.append((pi[g.qubits[0]], pi[g.qubits[1]]))
+                        ext.append(g.qubits)
                         if len(ext) >= limit:
                             return ext
                     nxt.append(s)

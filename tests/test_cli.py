@@ -277,7 +277,7 @@ def test_verify_subcommand_detects_difference(tmp_path, capsys):
     assert rc == 1
 
 
-@pytest.mark.parametrize("perm, code", [("1,a", 2), ("0,0", 1)], ids=["not-int", "repeat"])
+@pytest.mark.parametrize("perm, code", [("1,a", 2), ("0,0", 2)], ids=["not-int", "repeat"])
 def test_verify_bad_perm_is_one_error_line(capsys, perm, code):
     # "1,a" used to end in a ValueError traceback; "0,0" was turned into a
     # non-unitary "permutation" matrix
@@ -287,6 +287,28 @@ def test_verify_bad_perm_is_one_error_line(capsys, perm, code):
     except SystemExit as exc:
         rc = exc.code
     assert rc == code
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--perm", "0,1,2"], "layout is not a permutation of 0..1"),
+    ([], "qubit counts differ"),
+], ids=["perm-too-long", "widths-differ"])
+def test_verify_usage_errors_exit_2(tmp_path, capsys, extra, message):
+    bell = str(FIXTURES / "bell.qasm")
+    other = bell
+    if not extra:
+        other = tmp_path / "three.qasm"
+        other.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\nh q[0];\n')
+    assert _run(["verify", bell, str(other)] + extra) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == [f"error: {message}"]
+
+
+def test_verify_missing_file_is_one_error_line(tmp_path, capsys):
+    # used to end in a FileNotFoundError traceback
+    assert _run(["verify", str(tmp_path / "absent.qasm"), str(FIXTURES / "bell.qasm")]) == 1
     errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
     assert len(errors) == 1
 

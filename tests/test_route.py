@@ -1,5 +1,8 @@
-"""Routing tests: Sabre behaviour, incremental-front equivalence,
-constrained routing through `transpile`, and qubit prioritization."""
+"""Routing tests: Sabre behaviour, incremental-front equivalence, pinned
+routing output, constrained routing through `transpile`, and qubit
+prioritization."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -150,6 +153,66 @@ def test_route_errors():
     disc = devicelib.make_device("disc", 4, [(0, 1), (2, 3)])
     with pytest.raises(Disconnected):
         route.sabre_route(Circuit(4).add("cx", [0, 2]), disc)
+
+
+# sha256 of the routed (name, qubits) lists, layouts and swap counts below:
+# a change to swap selection that moves any routed gate changes it
+GOLDEN_ROUTING_DIGEST = "0cc3cb551ce4080c69fcc9560ab1164f70b0803ed01b6edac3d596aeb7433fba"
+
+
+def _routing_digest() -> str:
+    rng = np.random.default_rng(19)
+    plain = [RoutingOptions(), RoutingOptions(extended_set_size=0),
+             RoutingOptions(decay_increment=0.0)]  # zero decay: the tie hash decides often
+    # seven routing passes each, so refinement runs on the small devices only
+    cases = [(random_circuit(127, 300, rng, p_two=1.0), devicelib.heavy_hex_127(), plain),
+             (random_circuit(27, 300, rng), devicelib.toronto27(),
+              plain + [RoutingOptions(refinement_rounds=3)]),
+             (random_circuit(20, 250, rng), devicelib.grid(4, 5),
+              plain + [RoutingOptions(refinement_rounds=3)])]
+    h = hashlib.sha256()
+    for circ, dev, option_sets in cases:
+        for seed in (0, 7):
+            for opts in option_sets:
+                r = route.sabre_route(circ, dev, seed=seed, opts=opts)
+                h.update(repr(([(g.name, g.qubits) for g in r.circuit.gates],
+                               r.initial_layout.virt_to_phys, r.final_layout.virt_to_phys,
+                               r.swaps_inserted)).encode())
+    return h.hexdigest()
+
+
+def test_routing_output_is_pinned():
+    assert _routing_digest() == GOLDEN_ROUTING_DIGEST
+
+
+@pytest.mark.parametrize("seed, pair", [(0, "1 and 4"), (1, "2 and 3")])
+def test_infinite_extended_pair_scores_by_tie_hash(seed, pair):
+    # cx 2,4 crosses components and sits in the extended set while the
+    # front still routes: every candidate scores inf, the seeded hash picks
+    dev = devicelib.make_device("two", 6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    c = Circuit(6).add("cx", [0, 2]).add("cx", [3, 5]).add("cx", [2, 4])
+    with pytest.raises(Disconnected, match=f"^qubits {pair} lie in different coupling"):
+        route.sabre_route(c, dev, seed=seed)
+
+
+def test_extended_set_built_once_per_front_advance(monkeypatch):
+    calls = {"ext": 0, "advance": 0}
+    extended, advance = route._Router._extended_pairs, route._Router._advance
+
+    def counted_extended(self):
+        calls["ext"] += 1
+        return extended(self)
+
+    def counted_advance(self, nodes):
+        calls["advance"] += 1
+        return advance(self, nodes)
+
+    monkeypatch.setattr(route._Router, "_extended_pairs", counted_extended)
+    monkeypatch.setattr(route._Router, "_advance", counted_advance)
+    r = route.sabre_route(random_circuit(127, 200, np.random.default_rng(3), p_two=1.0),
+                          devicelib.heavy_hex_127(), seed=1)
+    assert r.swaps_inserted > 2 * calls["advance"]
+    assert calls["ext"] <= calls["advance"] + 1
 
 
 # ---------------------------------------------------------------------------
