@@ -3,6 +3,14 @@
 A Circuit is an ordered gate list over a flattened qubit index range.
 Measurements are terminal and kept separately as (qubit -> clbit) pairs.
 Barriers travel in the gate list as matrix-less scheduling markers.
+
+A gate is checked once, when it first enters a compile: `GateIR(...)`
+rejects duplicate qubits, unknown names and wrong arities, and converts
+every parameter with `float()`. `GateIR.trusted(...)` skips all of that. It
+is for passes that build a gate from parts they have already checked or
+taken from a checked gate: the parser's fast path, the router's output and
+lowering's emitter. Anything else (user code, `Circuit.add`, expansions of
+composition gates) goes through the checked constructor.
 """
 from __future__ import annotations
 
@@ -20,6 +28,12 @@ class GateIR:
     Building a gate costs no matrix work: the matrix is built through
     `gates.matrix` (cached per (name, params)) on first read, then kept as
     one read-only complex array. Barriers carry no matrix.
+
+    The constructor checks its arguments; `trusted` does not (see the module
+    docstring), so its caller guarantees what the constructor would check:
+    a tuple of distinct Python ints, a name in `gates.GATE_INFO` (or
+    "barrier") with that many qubits, and a tuple of Python floats of the
+    name's parameter count.
     """
 
     __slots__ = ("name", "qubits", "params", "_matrix")
@@ -57,14 +71,21 @@ class GateIR:
     def is_barrier(self) -> bool:
         return self.name == BARRIER
 
+    @staticmethod
+    def trusted(name: str, qubits: tuple, params: tuple = (), matrix=None) -> "GateIR":
+        """A gate built without checks, for callers that hold the contract in
+        the class docstring; `matrix` is the gate's matrix when known."""
+        g = object.__new__(GateIR)
+        g.name = name
+        g.qubits = qubits
+        g.params = params
+        g._matrix = matrix
+        return g
+
     def remapped(self, perm) -> "GateIR":
         """Copy with qubit indices mapped through perm (index -> new index)."""
-        g = GateIR.__new__(GateIR)
-        g.name = self.name
-        g.qubits = tuple(perm[q] for q in self.qubits)
-        g.params = self.params
-        g._matrix = self._matrix
-        return g
+        return GateIR.trusted(self.name, tuple(perm[q] for q in self.qubits),
+                              self.params, self._matrix)
 
     def __repr__(self):
         p = "(" + ",".join(f"{x:g}" for x in self.params) + ")" if self.params else ""

@@ -12,7 +12,8 @@ other artifacts are byte-identical across identical invocations.
 
 Exit codes: 0 success, 1 parse error, 2 device error or a usage error (flags
 that cannot be combined, a bad `verify --perm`, `verify` circuits of
-different widths), 3 routing infeasible, 4 internal invariant breach.
+different widths or wider than the simulator's cap), 3 routing infeasible,
+4 internal invariant breach.
 """
 from __future__ import annotations
 
@@ -247,9 +248,12 @@ def _run_verify(argv: list[str]) -> int:
         ok, dev_val = oracle.equivalent(c1, c2, layout_perm=args.perm, tol=args.tol)
     except (QasmTransError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        # a --perm that is no permutation of the qubits, or circuits of
-        # different widths, is bad usage, not a parse error
-        return USAGE_ERROR if isinstance(exc, DimensionMismatch) else PARSE_ERROR
+        # a --perm that is no permutation of the qubits, circuits of
+        # different widths, or circuits too wide to simulate are bad usage,
+        # not a parse error
+        if isinstance(exc, (DimensionMismatch, TooManyQubits)):
+            return USAGE_ERROR
+        return PARSE_ERROR
     print(f"{'equivalent' if ok else 'NOT equivalent'} (max deviation {dev_val:.3e})")
     return 0 if ok else 1
 

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 
 from . import gates
-from .circuit import Circuit, GateIR
+from .circuit import BARRIER, Circuit, GateIR
 from .errors import NotInFront, UnsupportedGate
 
 
@@ -38,14 +38,25 @@ class CircuitDag:
         self.pred_remaining: list[int] = [0] * n
         self.executed: list[bool] = [False] * n
         self.executed_count = 0
+        preds, succ, rem = self.preds, self.succ, self.pred_remaining
         last: dict[int, int] = {}
         for i, g in enumerate(circuit.gates):
-            ps = {last[q] for q in g.qubits if q in last}
-            self.preds[i] = tuple(ps)
-            self.pred_remaining[i] = len(ps)
+            qs = g.qubits
+            if len(qs) == 1:
+                q = qs[0]
+                p = last.get(q)
+                if p is not None:
+                    preds[i] = (p,)
+                    rem[i] = 1
+                    succ[p].append(i)
+                last[q] = i
+                continue
+            ps = {last[q] for q in qs if q in last}
+            preds[i] = tuple(ps)
+            rem[i] = len(ps)
             for p in ps:
-                self.succ[p].append(i)
-            for q in g.qubits:
+                succ[p].append(i)
+            for q in qs:
                 last[q] = i
         self.front: set[int] = {i for i in range(n) if not self.pred_remaining[i]}
 
@@ -107,11 +118,11 @@ def decompose_3q(circuit: Circuit) -> Circuit:
     multi-controlled gates expand through their standard definitions and
     then recursively. Barriers and measurements pass through unchanged.
     """
-    if all(g.is_barrier or g.num_qubits <= 2 for g in circuit.gates):
+    if all(len(g.qubits) <= 2 or g.name == BARRIER for g in circuit.gates):
         return circuit
     out: list[GateIR] = []
     for g in circuit.gates:
-        if g.is_barrier or g.num_qubits <= 2:
+        if len(g.qubits) <= 2 or g.name == BARRIER:
             out.append(g)
             continue
         if g.name not in _DECOMPOSABLE:
@@ -177,9 +188,22 @@ def stats(circuit: Circuit, device_basis_durations: dict | None = None) -> Circu
     ent = [0] * n
     n1 = n2 = total = 0
     meas_layers: list[int] = []
+    durations = device_basis_durations
     for g in circuit.gates:
         qs = g.qubits
-        if g.is_barrier:
+        if len(qs) == 1 and g.name != BARRIER:
+            # the general branch below, with max() over one qubit taken out
+            q = qs[0]
+            layer = lvl[q] + 1
+            if first[q] == 0:
+                first[q] = layer
+            lvl[q] = layer
+            total += 1
+            n1 += 1
+            if durations is not None:
+                ready[q] += durations.get(g.name, 0.0)
+            continue
+        if g.name == BARRIER:
             layer = 1 + max((lvl[q] for q in qs), default=0)
             for q in qs:
                 lvl[q] = layer
@@ -190,14 +214,12 @@ def stats(circuit: Circuit, device_basis_durations: dict | None = None) -> Circu
                 first[q] = layer
             lvl[q] = layer
         total += 1
-        if len(qs) == 1:
-            n1 += 1
-        elif len(qs) == 2:
+        if len(qs) == 2:
             n2 += 1
             for q in qs:
                 ent[q] += 1
-        if device_basis_durations is not None:
-            dur = device_basis_durations.get(g.name, 0.0)
+        if durations is not None:
+            dur = durations.get(g.name, 0.0)
             t = dur + max(ready[q] for q in qs)
             for q in qs:
                 ready[q] = t

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import gates
-from .circuit import Circuit, GateIR
+from .circuit import BARRIER, Circuit, GateIR
 from .errors import NoRuleFor, UnsupportedGate
 
 PI = math.pi
@@ -89,7 +89,12 @@ def _near(x: float, target: float) -> bool:
 # ---------------------------------------------------------------------------
 
 class _Emitter:
-    """Gate stream builder with trailing virtual-Z merging per qubit."""
+    """Gate stream builder with trailing virtual-Z merging per qubit.
+
+    Gates are built with `GateIR.trusted`: every caller passes a basis or
+    routed gate name with its arity, a tuple of distinct qubits taken from a
+    checked gate, and Python float parameters (angles from `math`/`cmath`
+    or copied from a checked gate)."""
 
     def __init__(self, basis: BasisSet):
         self.basis = basis
@@ -105,22 +110,22 @@ class _Emitter:
                 self.out[idx] = None
                 del self._tail_z[q]
             else:
-                self.out[idx] = GateIR(self.basis.virtual_z, (q,), (angle,))
+                self.out[idx] = GateIR.trusted(self.basis.virtual_z, (q,), (angle,))
             return
         if angle < _EPS or 2 * PI - angle < _EPS:
             return
-        self.out.append(GateIR(self.basis.virtual_z, (q,), (angle,)))
+        self.out.append(GateIR.trusted(self.basis.virtual_z, (q,), (angle,)))
         self._tail_z[q] = len(self.out) - 1
 
-    def emit(self, name: str, qubits, params=()):
+    def emit(self, name: str, qubits: tuple, params: tuple = ()):
         for q in qubits:
             self._tail_z.pop(q, None)
-        self.out.append(GateIR(name, qubits, params))
+        self.out.append(GateIR.trusted(name, qubits, params))
 
-    def barrier(self, qubits):
+    def barrier(self, qubits: tuple):
         for q in qubits:
             self._tail_z.pop(q, None)
-        self.out.append(GateIR("barrier", qubits))
+        self.out.append(GateIR.trusted(BARRIER, qubits))
 
     def result(self) -> list[GateIR]:
         return [g for g in self.out if g is not None]
@@ -260,11 +265,12 @@ def lower(circuit: Circuit, basis, keep=None) -> Circuit:
 
 def _lower_gate(em: _Emitter, bs: BasisSet, native: set, g: GateIR):
     name = g.name
-    if g.is_barrier:
+    nq = len(g.qubits)
+    if name == BARRIER:
         em.barrier(g.qubits)
         return
-    if g.num_qubits > 2:
-        raise UnsupportedGate(f"{name} acts on {g.num_qubits} qubits; decompose first")
+    if nq > 2:
+        raise UnsupportedGate(f"{name} acts on {nq} qubits; decompose first")
     if name == bs.virtual_z or (name in ("rz", "u1", "gz") and bs.virtual_z in ("rz", "gz")):
         # all Z-rotation spellings collapse onto the basis frame gate
         em.z(g.qubits[0], g.params[0])
@@ -284,7 +290,7 @@ def _lower_gate(em: _Emitter, bs: BasisSet, native: set, g: GateIR):
                 return
             em.emit(name, g.qubits, g.params)
             return
-    if g.num_qubits == 1:
+    if nq == 1:
         _emit_1q_matrix(em, g.qubits[0], g.matrix)
         return
     # two-qubit: everything funnels through CX

@@ -99,10 +99,15 @@ def _relabel(u: np.ndarray, rows, cols) -> np.ndarray:
     """P(rows)^dag u P(cols), with P(perm) = permutation_matrix(perm), as an
     axis transpose of u instead of two dense products."""
     n = u.shape[0].bit_length() - 1
-    if sorted(rows) != list(range(n)) or sorted(cols) != list(range(n)):
-        raise DimensionMismatch(f"layout is not a permutation of 0..{n - 1}")
+    _check_perm(rows, n)
+    _check_perm(cols, n)
     axes = list(rows) + [n + c for c in cols]
     return u.reshape([2] * (2 * n)).transpose(axes).reshape(u.shape)
+
+
+def _check_perm(perm, n: int):
+    if sorted(perm) != list(range(n)):
+        raise DimensionMismatch(f"layout is not a permutation of 0..{n - 1}")
 
 
 def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -126,10 +131,17 @@ def equivalent(c1: Circuit, c2: Circuit, layout_perm=None, tol: float = 1e-8):
     Returns (bool, max deviation). Measurements are stripped; the layout's
     measurement remapping is checked structurally by callers. Routed
     circuits with distinct initial and final layouts go through
-    pipeline_equivalent instead.
+    pipeline_equivalent instead. Above MAX_UNITARY_QUBITS the circuits are
+    compared on pipeline_equivalent's state probes, with layout_perm as both
+    layouts, up to MAX_SIM_QUBITS (TooManyQubits beyond).
     """
-    if c1.num_qubits != c2.num_qubits:
+    n = c1.num_qubits
+    if n != c2.num_qubits:
         raise DimensionMismatch("qubit counts differ")
+    if n > MAX_UNITARY_QUBITS:
+        perm = list(range(n)) if layout_perm is None else list(layout_perm)
+        _check_perm(perm, n)
+        return pipeline_equivalent(c1, c2, perm, perm, tol)
     u1 = circuit_unitary(c1)
     u2 = circuit_unitary(c2)
     if layout_perm is not None:

@@ -81,7 +81,7 @@ _OPERAND = rf"({_ID}){_W}\[{_W}([0-9]{{1,9}}){_W}\]"
 _GATE_STMT_RE = re.compile(
     rf"({_ID})(?![A-Za-z0-9_]){_W}"
     rf"(?:\(({_W}{_NUM}{_W}(?:,{_W}{_NUM}{_W})*)\){_W})?"
-    rf"{_OPERAND}(?:{_W},{_W}{_OPERAND})?{_W};{_SKIP}"
+    rf"({_OPERAND}(?:{_W},{_W}{_OPERAND})?){_W};{_SKIP}"
 )
 
 
@@ -146,6 +146,7 @@ class _Parser:
         self.gates: list[GateIR] = []
         self.measurements: list[tuple[int, int]] = []
         self.measured: set[int] = set()
+        self.operands: dict[str, tuple] = {}      # fast-path operand text -> qubits
         self.source_name = source_name
 
     # --- token helpers ---
@@ -366,9 +367,11 @@ class _Parser:
                     raise QasmSyntaxError(tok.line, f"gate on already-measured qubit {q}")
             self._emit(gate, params, qubits)
 
-    def _fast_gate(self, name, ptext, r0, i0, r1, i1) -> bool:
+    def _fast_gate(self, name, ptext, optext, r0, i0, r1, i1) -> bool:
         """Apply one `_GATE_STMT_RE` match if it passes every check of
-        `_gate_call`; on False nothing has changed and the grammar reads it."""
+        `_gate_call`; on False nothing has changed and the grammar reads it.
+        Operand text is resolved to qubits once per distinct text: registers
+        never change once declared."""
         gate = BUILTIN_GATES.get(name, name)
         info = gates.GATE_INFO.get(gate)
         if info is None:
@@ -377,22 +380,29 @@ class _Parser:
         params = tuple(map(float, ptext.split(","))) if ptext is not None else ()
         if len(params) != npar or not all(map(math.isfinite, params)):
             return False
-        qregs = self.rm.qregs
-        reg = qregs.get(r0)
-        if reg is None or int(i0) >= reg[1]:
-            return False
-        if r1 is None:
-            qubits = (reg[0] + int(i0),)
-        else:
-            reg1 = qregs.get(r1)
-            if reg1 is None or int(i1) >= reg1[1]:
+        qubits = self.operands.get(optext)
+        if qubits is None:
+            qregs = self.rm.qregs
+            reg = qregs.get(r0)
+            if reg is None or int(i0) >= reg[1]:
                 return False
-            qubits = (reg[0] + int(i0), reg1[0] + int(i1))
-            if qubits[0] == qubits[1]:
-                return False
+            if r1 is None:
+                qubits = (reg[0] + int(i0),)
+            else:
+                reg1 = qregs.get(r1)
+                if reg1 is None or int(i1) >= reg1[1]:
+                    return False
+                qubits = (reg[0] + int(i0), reg1[0] + int(i1))
+                if qubits[0] == qubits[1]:
+                    return False
+            self.operands[optext] = qubits
         if len(qubits) != nq or not self.measured.isdisjoint(qubits):
             return False
-        self._emit(gate, params, qubits)
+        if gate in gates.COMPOSITION_GATES:
+            self._emit(gate, params, qubits)
+        else:
+            # every check the constructor makes has just been made
+            self.gates.append(GateIR.trusted(gate, qubits, params))
         return True
 
     def _emit(self, name: str, params: tuple, qubits: tuple):
@@ -477,18 +487,22 @@ def emit_qasm(circuit: Circuit) -> str:
     nclbits = circuit.num_clbits
     if nclbits > 0:
         lines.append(f"creg c[{nclbits}];")
+    gate_info = gates.GATE_INFO
+    arg_text: dict[tuple, str] = {}        # qubit tuple -> "q[a],q[b]"
     for g in circuit.gates:
-        args = ",".join(f"q[{q}]" for q in g.qubits)
-        if g.is_barrier:
+        name, qubits = g.name, g.qubits
+        args = arg_text.get(qubits)
+        if args is None:
+            args = arg_text[qubits] = ",".join(f"q[{q}]" for q in qubits)
+        if name == BARRIER:
             lines.append(f"barrier {args};")
-            continue
-        if g.name not in gates.GATE_INFO:
-            raise UnserializableGate(g.name)
-        if g.params:
-            pstr = ",".join(repr(p) for p in g.params)
-            lines.append(f"{g.name}({pstr}) {args};")
+        elif name not in gate_info:
+            raise UnserializableGate(name)
+        elif g.params:
+            pstr = ",".join(map(repr, g.params))
+            lines.append(f"{name}({pstr}) {args};")
         else:
-            lines.append(f"{g.name} {args};")
+            lines.append(f"{name} {args};")
     for q, c in circuit.measurements:
         lines.append(f"measure q[{q}] -> c[{c}];")
     return "\n".join(lines) + "\n"

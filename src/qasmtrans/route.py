@@ -23,12 +23,18 @@ The extended sum is divided by |E| once, so every score equals the direct
 sum bit for bit. The hash is computed only when two or more candidates tie
 at the minimum score. E depends on the front alone: its virtual pairs are
 rebuilt when the front advances, and mapped through pi at each swap.
+
+Executed gates are remapped inline. pi only changes between batches, so
+each executable front gate gets its physical copy as the front is scanned:
+a one-qubit gate through pi, a two-qubit gate from the physical pair it
+was just distance-tested on. The copy is built with `GateIR.trusted` and
+keeps the gate's matrix.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, GateIR
+from .circuit import BARRIER, Circuit, GateIR
 from .device import INF, DeviceModel
 from .errors import Disconnected, NotAPermutation, TooManyQubits, UnsupportedGate
 from .ir import CircuitDag
@@ -143,22 +149,27 @@ class _Router:
         dag = self.dag
         ext_version = -1                   # executed_count the cached extended set is for
         ext_virt: list[tuple[int, int]] = []
+        gates_ = self.gates
+        trusted = GateIR.trusted
         while dag.front:
+            # executable gates go to out as found, in index order
             execable = []
             blocked_pairs = []
             for node in sorted(dag.front):
-                g = self.gates[node]
-                if g.is_barrier or len(g.qubits) == 1:
-                    execable.append(node)
+                g = gates_[node]
+                qs = g.qubits
+                if len(qs) == 1:
+                    out.append(trusted(g.name, (pi[qs[0]],), g.params, g._matrix))
+                elif g.name == BARRIER:
+                    out.append(g.remapped(pi))
                 else:
-                    a, b = g.qubits
-                    if dist[pi[a]][pi[b]] == 1:
-                        execable.append(node)
-                    else:
-                        blocked_pairs.append((pi[a], pi[b]))
+                    pa, pb = pi[qs[0]], pi[qs[1]]
+                    if dist[pa][pb] != 1:
+                        blocked_pairs.append((pa, pb))
+                        continue
+                    out.append(trusted(g.name, (pa, pb), g.params, g._matrix))
+                execable.append(node)
             if execable:
-                for node in execable:
-                    out.append(self.gates[node].remapped(pi))
                 self._advance(execable)
                 stall = 0
                 continue
@@ -271,7 +282,7 @@ class _Router:
                         continue
                     seen.add(s)
                     g = self.gates[s]
-                    if len(g.qubits) == 2 and not g.is_barrier:
+                    if len(g.qubits) == 2 and g.name != BARRIER:
                         ext.append(g.qubits)
                         if len(ext) >= limit:
                             return ext
@@ -280,9 +291,8 @@ class _Router:
         return ext
 
     def _emit_swap(self, a: int, b: int, out: list[GateIR]):
-        out.append(GateIR("cx", (a, b)))
-        out.append(GateIR("cx", (b, a)))
-        out.append(GateIR("cx", (a, b)))
+        trusted = GateIR.trusted
+        out += (trusted("cx", (a, b)), trusted("cx", (b, a)), trusted("cx", (a, b)))
 
     def _force_route(self, pair: tuple[int, int], out: list[GateIR]):
         """Deterministic escape hatch: walk the blocked pair together along a
@@ -309,8 +319,8 @@ def sabre_route(circuit: Circuit, device: DeviceModel, seed: int = 0,
     """
     opts = opts or RoutingOptions()
     for g in circuit.gates:
-        if not g.is_barrier and g.num_qubits > 2:
-            raise UnsupportedGate(f"{g.name} on {g.num_qubits} qubits; run decompose_3q first")
+        if len(g.qubits) > 2 and g.name != BARRIER:
+            raise UnsupportedGate(f"{g.name} on {len(g.qubits)} qubits; run decompose_3q first")
     if circuit.num_qubits > device.num_qubits:
         raise TooManyQubits(
             f"circuit needs {circuit.num_qubits} qubits, device has {device.num_qubits}")

@@ -306,6 +306,33 @@ def test_verify_usage_errors_exit_2(tmp_path, capsys, extra, message):
     assert errors == [f"error: {message}"]
 
 
+def _wide_circuit(path, n: int, extra: str = "") -> str:
+    body = "".join(f"h q[{i}];\ncx q[{i}],q[{i + 1}];\nrz(0.{i + 3}) q[{i + 1}];\n"
+                   for i in range(n - 1))
+    path.write_text(f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{n}];\n{body}{extra}'
+                    f"cx q[{n - 1}],q[0];\nu3(0.1,0.2,0.3) q[3];\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("extra, code, verdict", [
+    ("", 0, "equivalent"),
+    ("rz(1e-3) q[4];\n", 1, "NOT equivalent"),
+], ids=["same", "rz-1e-3"])
+def test_verify_above_the_unitary_cap(tmp_path, capsys, extra, code, verdict):
+    # 10 qubits: more than a dense unitary holds, so the state probes decide
+    a = _wide_circuit(tmp_path / "a.qasm", 10)
+    b = _wide_circuit(tmp_path / "b.qasm", 10, extra)
+    assert _run(["verify", a, b]) == code
+    assert capsys.readouterr().out.startswith(f"{verdict} (max deviation")
+
+
+def test_verify_above_the_simulator_cap_exits_2(tmp_path, capsys):
+    a = _wide_circuit(tmp_path / "a.qasm", 16)
+    assert _run(["verify", a, a]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == ["error: 16 qubits exceeds simulate cap 14"]
+
+
 def test_verify_missing_file_is_one_error_line(tmp_path, capsys):
     # used to end in a FileNotFoundError traceback
     assert _run(["verify", str(tmp_path / "absent.qasm"), str(FIXTURES / "bell.qasm")]) == 1

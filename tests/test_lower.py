@@ -1,17 +1,21 @@
-"""Basis lowering tests: ZXZ Euler form, vendor rules, and idempotence."""
+"""Basis lowering tests: ZXZ Euler form, vendor rules, idempotence, and the
+whole compile path: a pinned output digest and the trusted-gate guard."""
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
 import qasmtrans.lowering as lower
-from qasmtrans import gates, oracle
-from qasmtrans.circuit import Circuit
+from qasmtrans import devicelib, gates, ir, oracle, qasm, route
+from qasmtrans.circuit import Circuit, GateIR
 from qasmtrans.errors import NoRuleFor
 from qasmtrans.lowering import VENDOR_BASES, lower_1q_zxz
 from qasmtrans.pulsesim import avg_gate_fidelity
+from qasmtrans.transpile import TranspileOptions, transpile
 
-from conftest import phase_distance, random_circuit, random_unitary
+from conftest import FIXTURE_NAMES, phase_distance, random_circuit, random_unitary
 
 ALL_BASES = ["ibmq", "rigetti", "ionq", "quantinuum", "rigetti_pulse"]
 
@@ -163,3 +167,94 @@ def test_no_rule_for_foreign_entangler():
     # iswap has no rule under ibmq (2q resynthesis is out of scope)
     with pytest.raises(NoRuleFor):
         lower.lower(Circuit(2).add("iswap", [0, 1]), "ibmq")
+
+
+# ---------------------------------------------------------------------------
+# the whole compile path, pinned
+# ---------------------------------------------------------------------------
+
+# sha256 of the emitted programs, statistics and latencies below: a change
+# anywhere on the compile path that moves one output byte changes it
+GOLDEN_COMPILE_DIGEST = "5b7d84949a54ab76f418c96ae69f11b488e3f20c3d2204586e1131df9ad78dd2"
+
+# gate name -> ns; names missing here take 0 ns
+_DURATIONS = {"cx": 300.0, "cz": 220.0, "zz": 250.5, "ms": 600.0, "iswap": 180.0,
+              "sx": 35.5, "x": 35.5, "rx": 40.25, "gpi": 10.0, "gpi2": 10.0,
+              "u3": 50.0, "h": 35.5, "t": 0.0, "rz": 0.0, "gz": 0.0}
+
+
+def _golden_circuit() -> Circuit:
+    """~2k gates on 21 qubits: nearest-neighbour and a few remote cx, random
+    rz/u3 angles, barriers on one and on all qubits, a ccx, a cu1 and
+    measurements."""
+    rng = np.random.default_rng(20)
+    n = 21
+    c = Circuit(n)
+    for step in range(2000):
+        if step == 500:
+            c.add("barrier", [7])
+        elif step == 1000:
+            c.add("barrier", range(n))
+        elif step == 1200:
+            c.add("ccx", [3, 9, 5])
+        elif step == 1500:
+            c.add("cu1", [12, 8], (float(rng.uniform(-np.pi, np.pi)),))
+        r = rng.random()
+        if r < 0.35:
+            a = int(rng.integers(n - 1))
+            c.add("cx", [a, a + 1] if rng.random() < 0.5 else [a + 1, a])
+        elif r < 0.37:
+            a, b = map(int, rng.choice(n, 2, replace=False))
+            c.add("cx", [a, b])
+        elif r < 0.6:
+            c.add("rz", [int(rng.integers(n))], (float(rng.uniform(-np.pi, np.pi)),))
+        elif r < 0.8:
+            c.add("u3", [int(rng.integers(n))],
+                  tuple(float(x) for x in rng.uniform(-np.pi, np.pi, 3)))
+        else:
+            c.add(("h", "sx", "t", "x")[int(rng.integers(4))], [int(rng.integers(n))])
+    for q in range(n):
+        c.measure(q, q)
+    return c
+
+
+def _compile_digest() -> str:
+    circ = _golden_circuit()
+    dev = devicelib.line(21)
+    h = hashlib.sha256()
+
+    def record(c: Circuit):
+        h.update(qasm.emit_qasm(c).encode())
+        h.update(json.dumps(ir.stats(c).to_dict(), sort_keys=True).encode())
+        h.update(repr(ir.stats(c, _DURATIONS).latency_ns).encode())
+
+    record(circ)
+    # the parser's own path: composition gates expand at parse time
+    parsed = qasm.parse_text(qasm.emit_qasm(circ))
+    record(parsed)
+    jobs = [(circ, b) for b in ALL_BASES] + [(parsed, "ibmq")]
+    for c, basis in jobs:
+        r = transpile(c, dev, TranspileOptions(seed=3, basis=basis))
+        record(r.circuit)
+        h.update(repr((r.initial_layout, r.final_layout, r.swaps_inserted)).encode())
+    return h.hexdigest()
+
+
+def test_compiled_output_is_pinned():
+    assert _compile_digest() == GOLDEN_COMPILE_DIGEST
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_trusted_gates_pass_the_checked_constructor(circuits, toronto, name):
+    # the parser, router and lowering build gates unchecked; each must be
+    # one the checked constructor builds unchanged, with plain Python types
+    # (repr(np.float64(1.5)) is 'np.float64(1.5)', which would reach the
+    # emitted text)
+    parsed = circuits[name]
+    routed = route.sabre_route(ir.decompose_3q(parsed), toronto, seed=1).circuit
+    outputs = [parsed, routed] + [lower.lower(routed, basis) for basis in ALL_BASES]
+    for c in outputs:
+        for g in c.gates:
+            assert GateIR(g.name, g.qubits, g.params) == g
+            assert type(g.qubits) is tuple and all(type(q) is int for q in g.qubits)
+            assert type(g.params) is tuple and all(type(p) is float for p in g.params)
