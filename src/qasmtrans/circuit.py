@@ -171,11 +171,6 @@ class Circuit:
         self.measurements.append((qubit, clbit))
         return self
 
-    def copy(self) -> "Circuit":
-        c = Circuit(self.num_qubits, list(self.gates), list(self.measurements),
-                    self.register_map, self.source_name)
-        return c
-
     def without_measurements(self) -> "Circuit":
         return Circuit(self.num_qubits, list(self.gates), [], self.register_map, self.source_name)
 

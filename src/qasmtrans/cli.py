@@ -133,7 +133,7 @@ def run(cfg: JobConfig) -> int:
             summary["placements"] = [
                 {"mapping": [p for p in s_.mapping.virt_to_phys if p is not None],
                  "score": s_.score, "cp_length": s_.cp_length}
-                for s_ in result.placements[:5]
+                for s_ in result.placements
             ]
         summary["initial_layout"] = result.initial_layout
         summary["final_layout"] = result.final_layout

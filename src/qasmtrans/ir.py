@@ -72,9 +72,8 @@ class CircuitDag:
         Cost is proportional to len(executed) plus the number of enabled
         successors, never to the total gate count."""
         front = self.front
-        for node in executed:
-            if node not in front:
-                raise NotInFront(node)
+        if not front.issuperset(executed):
+            raise NotInFront(next(n for n in executed if n not in front))
         rem = self.pred_remaining
         for node in executed:
             front.discard(node)

@@ -8,7 +8,9 @@ drawn from the calibration changes with the mapping.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .circuit import Circuit, GateIR
 from .device import CouplingGraph, DeviceModel
@@ -41,64 +43,66 @@ def interaction_graph(circuit: Circuit) -> InteractionGraph:
 
 
 def enumerate_embeddings(ig: InteractionGraph, coupling: CouplingGraph,
-                         limit: int = 10000) -> list[Layout]:
+                         limit: int = 10000) -> np.ndarray:
     """All injective maps sending every interaction edge onto a coupling edge.
 
     Monomorphism semantics: extra device edges inside the image are allowed.
     Backtracking explores vertices in degree-descending order with forward
-    checking; up to `limit` embeddings are collected in search order and
-    returned sorted by their assignment tuple, duplicate-free.
+    checking; up to `limit` (>= 1) embeddings are collected in search order.
+    Returns an (n_embeddings, len(ig.vertices)) int array whose column j is
+    the device qubit of ig.vertices[j], rows in ascending order.
     """
-    if len(ig.vertices) > coupling.num_qubits:
-        raise NoEmbedding(
-            f"{len(ig.vertices)} circuit qubits exceed {coupling.num_qubits} device qubits")
+    k = len(ig.vertices)
+    if k > coupling.num_qubits:
+        raise NoEmbedding(f"{k} circuit qubits exceed {coupling.num_qubits} device qubits")
     nbrs: dict[int, list[int]] = {v: [] for v in ig.vertices}
     for (a, b) in ig.edges:
         nbrs[a].append(b)
         nbrs[b].append(a)
     order = sorted(ig.vertices, key=lambda v: (-len(nbrs[v]), v))
+    depth = {v: i for i, v in enumerate(order)}
+    # per search depth: one placed neighbour (-1 if none), whose device
+    # neighbours are the candidates, and the other placed neighbours
+    placed = [[depth[w] for w in nbrs[v] if depth[w] < i] for i, v in enumerate(order)]
+    anchor = [ps[0] if ps else -1 for ps in placed]
+    checks = [ps[1:] for ps in placed]
+    adjacency = coupling.adjacency            # each list ascending
+    adj_sets = [set(a) for a in adjacency]
+    used = [False] * coupling.num_qubits
+    assign = [0] * k
     found: list[tuple] = []
-    assign: dict[int, int] = {}
-    used: set[int] = set()
 
     def backtrack(i: int) -> bool:
-        if len(found) >= limit:
-            return True
-        if i == len(order):
-            found.append(tuple(assign[v] for v in order))
-            return len(found) >= limit
-        v = order[i]
-        placed = [w for w in nbrs[v] if w in assign]
-        if placed:
-            cands = sorted(set(coupling.adjacency[assign[placed[0]]]) - used)
-            cands = [p for p in cands
-                     if all(coupling.has_edge(p, assign[w]) for w in placed)]
+        a = anchor[i]
+        if a < 0:
+            cands = [p for p in range(coupling.num_qubits) if not used[p]]
+        elif checks[i]:
+            others = [adj_sets[assign[j]] for j in checks[i]]
+            cands = [p for p in adjacency[assign[a]]
+                     if not used[p] and all(p in s for s in others)]
         else:
-            cands = [p for p in range(coupling.num_qubits) if p not in used]
+            cands = [p for p in adjacency[assign[a]] if not used[p]]
+        if i == k - 1:
+            prefix = tuple(assign[:i])
+            found.extend(prefix + (p,) for p in cands[:limit - len(found)])
+            return len(found) >= limit
         for p in cands:
-            assign[v] = p
-            used.add(p)
-            if backtrack(i + 1):
-                del assign[v]
-                used.discard(p)
+            assign[i] = p
+            used[p] = True
+            stop = backtrack(i + 1)
+            used[p] = False
+            if stop:
                 return True
-            del assign[v]
-            used.discard(p)
         return False
 
-    backtrack(0)
+    if k:
+        backtrack(0)
+    else:
+        found.append(())
     if not found:
         raise NoEmbedding("interaction graph does not embed into the coupling graph")
-    layouts = []
-    for tup in sorted(set(found)):
-        v2p: list = [None] * ig.num_qubits
-        for v, p in zip(order, tup):
-            v2p[v] = p
-        p2v: list = [None] * coupling.num_qubits
-        for v, p in zip(order, tup):
-            p2v[p] = v
-        layouts.append(Layout(v2p, p2v))
-    return layouts
+    emb = np.array(found, dtype=np.intp).reshape(len(found), k)[:, [depth[v] for v in ig.vertices]]
+    return emb[np.lexsort(emb.T[::-1])] if k else emb
 
 
 # ---------------------------------------------------------------------------
@@ -184,43 +188,52 @@ def critical_path(circuit: Circuit, durations) -> tuple[list[GateIR], float]:
 # scoring and selection
 # ---------------------------------------------------------------------------
 
+TOP_K = 5       # placements reported in the CLI summary
+
+
 @dataclass
 class PlacementScore:
     mapping: Layout
     cp_length: int
-    cp_gates: list[GateIR] = field(repr=False)
-    score: float = 0.0
-
-    def key(self):
-        return (self.score, tuple(-1 if p is None else p for p in self.mapping.virt_to_phys))
+    score: float
 
 
-def score_mapping(cp_gates: list[GateIR], mapping: Layout, device: DeviceModel) -> float:
-    """Mean calibrated error over the fixed critical path under this mapping."""
+def score_embeddings(cp_gates: list[GateIR], ig: InteractionGraph, emb: np.ndarray,
+                     device: DeviceModel) -> np.ndarray:
+    """Mean calibrated error over the fixed critical path, one per row of `emb`
+    (an `enumerate_embeddings` array). Errors are added gate by gate in path
+    order, as a per-mapping Python loop would add them."""
     if not cp_gates:
-        return 0.0
+        return np.zeros(len(emb))
     cal = device.calibration
-    v2p = mapping.virt_to_phys
-    total = 0.0
+    e1 = np.asarray(cal.e1, dtype=float)
+    e2 = np.full((device.num_qubits, device.num_qubits), np.nan)
+    for a, b in device.coupling.edges:
+        e2[a, b] = e2[b, a] = cal.edge_error(a, b)
+    col = {v: emb[:, j] for j, v in enumerate(ig.vertices)}
+    total = np.zeros(len(emb))
     for g in cp_gates:
-        if g.num_qubits == 1:
-            total += cal.e1[v2p[g.qubits[0]]]
+        if len(g.qubits) == 1:
+            total += e1[col[g.qubits[0]]]
         else:
-            total += cal.edge_error(v2p[g.qubits[0]], v2p[g.qubits[1]])
+            total += e2[col[g.qubits[0]], col[g.qubits[1]]]
     return total / len(cp_gates)
 
 
 def select_placement(circuit: Circuit, device: DeviceModel, limit: int = 10000,
                      durations=None) -> tuple[PlacementScore, list[PlacementScore]]:
-    """Best mapping by mean critical-path error; deterministic total order
-    (score, then lexicographic mapping)."""
+    """Best mapping by mean critical-path error, and the TOP_K best, best
+    first; deterministic total order (score, then lexicographic mapping)."""
     ig = interaction_graph(circuit)
-    layouts = enumerate_embeddings(ig, device.coupling, limit=limit)
+    emb = enumerate_embeddings(ig, device.coupling, limit=limit)
     cp_gates, _latency = critical_path(circuit, durations if durations is not None else device)
-    scored = []
-    for lay in layouts:
-        s = PlacementScore(lay, len(cp_gates), cp_gates)
-        s.score = score_mapping(cp_gates, lay, device)
-        scored.append(s)
-    scored.sort(key=PlacementScore.key)
-    return scored[0], scored
+    scores = score_embeddings(cp_gates, ig, emb, device)
+    top = []
+    for r in np.lexsort((*emb.T[::-1], scores))[:TOP_K]:
+        v2p: list = [None] * ig.num_qubits
+        p2v: list = [None] * device.num_qubits
+        for v, p in zip(ig.vertices, emb[r].tolist()):
+            v2p[v] = p
+            p2v[p] = v
+        top.append(PlacementScore(Layout(v2p, p2v), len(cp_gates), float(scores[r])))
+    return top[0], top

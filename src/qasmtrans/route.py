@@ -47,14 +47,6 @@ class Layout:
     virt_to_phys: list[int]
     phys_to_virt: list
 
-    @classmethod
-    def identity(cls, n_virt: int, n_phys: int) -> "Layout":
-        p2v: list = list(range(n_virt)) + [None] * (n_phys - n_virt)
-        return cls(list(range(n_virt)), p2v)
-
-    def copy(self) -> "Layout":
-        return Layout(list(self.virt_to_phys), list(self.phys_to_virt))
-
 
 @dataclass
 class RoutingOptions:

@@ -39,7 +39,7 @@ class TranspileResult:
     final_layout: list[int]
     swaps_inserted: int
     qubits: list[int]                # device qubits of the target
-    placements: list[place.PlacementScore] | None = None   # best first
+    placements: list[place.PlacementScore] | None = None   # the place.TOP_K best, best first
     timings_ms: dict[str, float] = field(default_factory=dict)
 
 

@@ -1,11 +1,14 @@
 """Noise-adaptive placement tests: interaction graphs, embedding enumeration,
 critical paths, and mapping selection."""
+import hashlib
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qasmtrans import devicelib, place, qasm
+from qasmtrans import cli, devicelib, ir, place, qasm, route
 from qasmtrans.circuit import Circuit
 from qasmtrans.errors import MissingDuration, NoEmbedding
 from qasmtrans.place import DurationTable
@@ -43,15 +46,14 @@ def test_interaction_graph_ghz_path():
 def test_path3_into_line3_two_embeddings(line5):
     ig = place.InteractionGraph(3, [0, 1, 2], {(0, 1): 1, (1, 2): 1})
     dev = devicelib.line(3)
-    layouts = place.enumerate_embeddings(ig, dev.coupling)
-    got = sorted(tuple(l.virt_to_phys) for l in layouts)
-    assert got == [(0, 1, 2), (2, 1, 0)]
+    emb = place.enumerate_embeddings(ig, dev.coupling)
+    assert emb.tolist() == [[0, 1, 2], [2, 1, 0]]
 
 
 def test_single_vertex_gets_all_device_qubits():
     ig = place.InteractionGraph(1, [0], {})
-    layouts = place.enumerate_embeddings(ig, devicelib.line(6).coupling)
-    assert sorted(l.virt_to_phys[0] for l in layouts) == list(range(6))
+    emb = place.enumerate_embeddings(ig, devicelib.line(6).coupling)
+    assert emb.tolist() == [[p] for p in range(6)]
 
 
 def test_triangle_into_tree_no_embedding():
@@ -81,8 +83,8 @@ def test_embeddings_match_brute_force():
         if dev.num_qubits > 12:
             continue
         try:
-            layouts = place.enumerate_embeddings(ig, dev.coupling, limit=100000)
-            got = sorted(tuple(l.virt_to_phys[v] for v in ig.vertices) for l in layouts)
+            emb = place.enumerate_embeddings(ig, dev.coupling, limit=100000)
+            got = [tuple(row) for row in emb.tolist()]
         except NoEmbedding:
             got = []
         assert got == _brute_force_embeddings(ig, dev.coupling)
@@ -90,10 +92,14 @@ def test_embeddings_match_brute_force():
 
 def test_embeddings_respect_limit_and_order():
     ig = place.InteractionGraph(1, [0], {})
-    layouts = place.enumerate_embeddings(ig, devicelib.line(9).coupling, limit=4)
-    assert len(layouts) == 4
-    tuples = [tuple(l.virt_to_phys) for l in layouts]
-    assert tuples == sorted(tuples)
+    emb = place.enumerate_embeddings(ig, devicelib.line(9).coupling, limit=4)
+    assert emb.tolist() == [[0], [1], [2], [3]]
+    # path 0-1-2 on line5: the middle vertex is placed first, so the first
+    # three in search order are (v1, v0, v2) = (1,0,2), (1,2,0), (2,1,3);
+    # the rows hold them by circuit qubit, ascending
+    ig = place.InteractionGraph(3, [0, 1, 2], {(0, 1): 1, (1, 2): 1})
+    emb = place.enumerate_embeddings(ig, devicelib.line(5).coupling, limit=3)
+    assert emb.tolist() == [[0, 1, 2], [1, 2, 3], [2, 1, 0]]
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +179,12 @@ def _ghz3():
 
 def test_uniform_errors_all_scores_equal():
     dev = devicelib.line(4, e1=0.01, e2=0.01)
-    best, scored = place.select_placement(_ghz3(), dev)
-    assert all(s.score == pytest.approx(0.01) for s in scored)
-    mappings = [tuple(s.mapping.virt_to_phys) for s in scored]
-    assert tuple(best.mapping.virt_to_phys) == min(mappings)
+    best, top = place.select_placement(_ghz3(), dev)
+    ig = place.interaction_graph(_ghz3())
+    emb = place.enumerate_embeddings(ig, dev.coupling)
+    cp, _ = place.critical_path(_ghz3(), dev)
+    assert all(s == pytest.approx(0.01) for s in place.score_embeddings(cp, ig, emb, dev))
+    assert [s.mapping.virt_to_phys for s in top] == emb[:5].tolist()
 
 
 def test_placement_avoids_bad_edge_when_alternative_exists():
@@ -202,17 +210,25 @@ def test_scores_match_independent_recompute(toronto):
     from qasmtrans import route
     rng = np.random.default_rng(8)
     c = route.sabre_route(random_circuit(4, 15, rng, p_two=0.6), toronto).circuit
-    best, scored = place.select_placement(c, toronto, limit=200)
-    cal = toronto.calibration
-    for s in scored[:50]:
-        total = 0.0
-        for g in s.cp_gates:
-            if g.num_qubits == 1:
-                total += cal.e1[s.mapping.virt_to_phys[g.qubits[0]]]
-            else:
-                a, b = (s.mapping.virt_to_phys[q] for q in g.qubits)
-                total += cal.edge_error(a, b)
-        assert abs(total / len(s.cp_gates) - s.score) < 1e-15
+    ig = place.interaction_graph(c)
+    emb = place.enumerate_embeddings(ig, toronto.coupling, limit=200)
+    cp, _ = place.critical_path(c, toronto)
+    scores = place.score_embeddings(cp, ig, emb, toronto)
+    assert len(scores) == len(emb)
+    for row, score in zip(emb.tolist(), scores.tolist()):
+        assert score == _loop_score(cp, dict(zip(ig.vertices, row)), toronto)
+
+
+def _loop_score(cp_gates, m, dev):
+    """Mean critical-path error of one mapping, added gate by gate."""
+    cal = dev.calibration
+    total = 0.0
+    for g in cp_gates:
+        if g.num_qubits == 1:
+            total += cal.e1[m[g.qubits[0]]]
+        else:
+            total += cal.edge_error(m[g.qubits[0]], m[g.qubits[1]])
+    return total / len(cp_gates)
 
 
 def test_argmin_invariant_under_uniform_scaling():
@@ -230,9 +246,72 @@ def test_argmin_invariant_under_uniform_scaling():
     assert best2.score == pytest.approx(3.0 * best1.score)
 
 
-def test_select_placement_result_independent_of_enumeration_order(toronto):
+def test_select_placement_result_independent_of_enumeration_order(toronto, monkeypatch):
     rng = np.random.default_rng(4)
     c = random_circuit(3, 10, rng, p_two=0.7)
-    best, scored = place.select_placement(c, toronto, limit=5000)
-    lo = min(scored, key=lambda s: s.key())
-    assert best.key() == lo.key()
+    best, top = place.select_placement(c, toronto, limit=5000)
+    # reference: every embedding scored one by one, in one Python sort
+    ig = place.interaction_graph(c)
+    emb = place.enumerate_embeddings(ig, toronto.coupling, limit=5000)
+    cp, _ = place.critical_path(c, toronto)
+    ranked = sorted((_loop_score(cp, dict(zip(ig.vertices, row)), toronto), row)
+                    for row in emb.tolist())
+    got = [(s.score, [p for p in s.mapping.virt_to_phys if p is not None]) for s in top]
+    assert got == ranked[:5]
+    assert best is top[0]
+    # the same ranking when the rows arrive in another order
+    shuffled = emb[np.random.default_rng(0).permutation(len(emb))]
+    monkeypatch.setattr(place, "enumerate_embeddings", lambda *a, **k: shuffled)
+    _, top2 = place.select_placement(c, toronto, limit=5000)
+    assert [(s.score, s.mapping.virt_to_phys) for s in top2] == \
+        [(s.score, s.mapping.virt_to_phys) for s in top]
+
+
+# ---------------------------------------------------------------------------
+# pinned end-to-end output
+# ---------------------------------------------------------------------------
+
+GOLDEN_PLACEMENT_DIGEST = "2984985c1b5685537dee51d917d9183d035eb1b5c694263e6c3a220da766908e"
+
+
+def _placement_digest(tmp_path) -> str:
+    """SHA-256 over `--noise-adaptive` CLI compiles: the emitted program, the
+    placement score, the top-5 placements block and both layouts."""
+    devices = {
+        "toronto": devicelib.toronto27(jitter_seed=5),
+        "hh127": devicelib.heavy_hex_127(jitter_seed=7),
+        "uniform": devicelib.toronto27(),   # every score ties; mapping order decides
+    }
+    paths = {}
+    for name, dev in devices.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(dev.to_json())
+    rng = np.random.default_rng(21)
+    jobs = [("toronto", 4, None), ("toronto", 5, None), ("toronto", 6, None),
+            ("hh127", 5, None), ("hh127", 8, None),
+            ("toronto", 5, 12),          # the search is cut off at 12 embeddings
+            ("uniform", 5, None)]
+    h = hashlib.sha256()
+    for i, (name, nq, limit) in enumerate(jobs):
+        circ = random_circuit(nq, 30, rng, p_two=0.5, measure=True)
+        src = tmp_path / f"in{i}.qasm"
+        src.write_text(qasm.emit_qasm(circ))
+        out = tmp_path / f"out{i}.qasm"
+        flags = [] if limit is None else ["--placement-limit", str(limit)]
+        assert cli.main(["-i", str(src), "-d", str(paths[name]), "-o", str(out),
+                         "--noise-adaptive", "--seed", "2"] + flags) == 0
+        if limit is not None:
+            routed = route.sabre_route(ir.decompose_3q(qasm.parse_file(src)),
+                                       devices[name], seed=2).circuit
+            ig = place.interaction_graph(routed)
+            assert len(place.enumerate_embeddings(ig, devices[name].coupling,
+                                                  limit=limit)) == limit
+        summary = json.loads(Path(str(out) + ".summary.json").read_text())
+        h.update(out.read_bytes())
+        h.update(json.dumps([summary[k] for k in ("placement_score", "placements",
+                                                  "initial_layout", "final_layout")]).encode())
+    return h.hexdigest()
+
+
+def test_noise_adaptive_output_is_pinned(tmp_path):
+    assert _placement_digest(tmp_path) == GOLDEN_PLACEMENT_DIGEST

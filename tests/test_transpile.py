@@ -77,3 +77,6 @@ def test_trace_wrappers_see_every_pass(tmp_path):
                      "place.critical_path"} <= set(tracer.names)
     assert passes <= set(tracer.self_times(under="partition.space_share"))
     assert not tracer.broken()
+    # the embedding array feeds the traced placement counters
+    assert "place.enumerate" in tracer.names
+    assert tracer.counts.get("place.embeddings", 0) > 0
