@@ -8,7 +8,9 @@ Artifacts are written atomically. Every run also produces a summary JSON
 (schema "qasmtrans-summary/1") with per-stage timings, circuit statistics
 before and after, inserted SWAP count, and the placement score when the
 noise-adaptive pass ran. Timings are the only nondeterministic fields; all
-other artifacts are byte-identical across identical invocations.
+other artifacts are byte-identical across identical invocations. `main` runs
+with the cyclic garbage collector paused (`transpile.gc_paused`), so
+`timings_ms` no longer includes collector pauses.
 
 Exit codes: 0 success, 1 parse error, 2 device error or a usage error (flags
 that cannot be combined, a bad `verify --perm`, `verify` circuits of
@@ -36,7 +38,7 @@ from .errors import (
     SchemaError,
     TooManyQubits,
 )
-from .transpile import TranspileOptions, timed, transpile
+from .transpile import TranspileOptions, gc_paused, timed, transpile
 
 PARSE_ERROR, DEVICE_ERROR, ROUTING_ERROR, INTERNAL_ERROR = 1, 2, 3, 4
 USAGE_ERROR = 2                    # argparse exits with the same code
@@ -311,6 +313,7 @@ def _given(ap: argparse.ArgumentParser, args: argparse.Namespace, flag: str) -> 
     return getattr(args, dest) != ap.get_default(dest)
 
 
+@gc_paused()
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "verify":

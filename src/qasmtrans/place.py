@@ -99,6 +99,9 @@ def enumerate_embeddings(ig: InteractionGraph, coupling: CouplingGraph,
         backtrack(0)
     else:
         found.append(())
+    # the recursive closure refers to itself; unbinding it lets reference
+    # counting free the search state at once, with the cyclic collector paused
+    del backtrack
     if not found:
         raise NoEmbedding("interaction graph does not embed into the coupling graph")
     emb = np.array(found, dtype=np.intp).reshape(len(found), k)[:, [depth[v] for v in ig.vertices]]

@@ -7,9 +7,14 @@ target's own qubit numbering; the result is lifted to the device's numbering
 once, before lowering. Passes are called through their modules
 (`route.sabre_route`, not a name imported from `route`), so wrappers
 installed on module attributes see every call.
+
+A compile runs with the cyclic garbage collector paused (`gc_paused`): the
+gate IR forms no reference cycles, so reference counting frees everything a
+compile drops, while each full collection would rescan every live gate.
 """
 from __future__ import annotations
 
+import gc
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -53,6 +58,22 @@ def timed(timings: dict[str, float], name: str):
         timings[name] = (time.perf_counter() - t0) * 1000.0
 
 
+@contextmanager
+def gc_paused():
+    """Disable the cyclic garbage collector for the block (also usable as a
+    decorator). The collector is process-wide; on exit, exception included,
+    it is re-enabled only if it was enabled on entry, so pauses nest and a
+    caller that disabled it finds it still disabled."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@gc_paused()
 def transpile(circuit: Circuit, device: DeviceModel, options: TranspileOptions | None = None,
               region: list[int] | None = None) -> TranspileResult:
     """Compile `circuit` for `device`, inside `region` (device qubits, sorted)

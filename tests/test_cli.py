@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from qasmtrans import cli, devicelib, load_device, qasm
+from qasmtrans import cli, devicelib, load_device, lowering, oracle, qasm, route
+from qasmtrans.circuit import Circuit
+from qasmtrans.errors import NoRuleFor, SchemaError
 
 from conftest import FIXTURES
 
@@ -439,3 +441,62 @@ def test_constrained_with_noise_adaptive_verifies(tmp_path, toronto_json):
     assert s["verified"] is True
     used = {q for g in qasm.parse_file(out).gates for q in g.qubits}
     assert len(used) <= 7
+
+
+def test_verify_failure_exits_4_without_output(tmp_path, line5_json, capsys, monkeypatch):
+    real = lowering.lower
+
+    def lower_dropping_the_first_cx(circ, basis):
+        out = real(circ, basis)
+        i = next(i for i, g in enumerate(out.gates) if g.name == "cx")
+        return Circuit(out.num_qubits, out.gates[:i] + out.gates[i + 1:], out.measurements,
+                       source_name=out.source_name)
+
+    monkeypatch.setattr(lowering, "lower", lower_dropping_the_first_cx)
+    out = tmp_path / "out.qasm"
+    rc = _run(["-i", str(FIXTURES / "bell.qasm"), "-d", line5_json, "-b", "ibmq",
+               "-o", str(out), "--verify"])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 4
+    assert len(err) == 1 and err[0].startswith("error: output failed equivalence check")
+    assert not out.exists() and not Path(str(out) + ".summary.json").exists()
+
+
+def test_verify_above_the_oracle_cap_records_null(tmp_path):
+    n = oracle.MAX_SIM_QUBITS + 1
+    src = tmp_path / "wide.qasm"
+    src.write_text(f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{n}];\n'
+                   + "".join(f"cx q[{i}],q[{i + 1}];\n" for i in range(n - 1)))
+    dev = tmp_path / "line.json"
+    dev.write_text(devicelib.line(n).to_json())
+    out = tmp_path / "out.qasm"
+    assert _run(["-i", str(src), "-d", str(dev), "-b", "ibmq", "-o", str(out), "--verify"]) == 0
+    summary = json.loads(Path(str(out) + ".summary.json").read_text())
+    assert "verified" in summary and summary["verified"] is None
+    assert out.exists()
+
+
+@pytest.mark.parametrize("exc,code", [(SchemaError("coupling", "bad edge"), 2),
+                                      (NoRuleFor("frob", "ibmq"), 4)])
+def test_compile_error_handlers(tmp_path, line5_json, capsys, monkeypatch, exc, code):
+    def failing_route(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(route, "sabre_route", failing_route)
+    out = tmp_path / "out.qasm"
+    rc = _run(["-i", str(FIXTURES / "bell.qasm"), "-d", line5_json, "-o", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == code
+    assert err == [f"error: {exc}"]
+    assert not out.exists()
+
+
+def test_simulate_schedule_without_events(tmp_path, capsys):
+    dev = tmp_path / "chain.json"
+    dev.write_text(devicelib.line(2, basis="rigetti_pulse").to_json())
+    schedule = tmp_path / "empty.pulse.json"
+    schedule.write_text(json.dumps({"version": "qasmtrans-pulse/1", "dt_ns": 0.1,
+                                    "events": [], "frames": {}}))
+    assert _run(["simulate", str(schedule), "-d", str(dev)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"final_fidelity": 1.0, "trace_error": 0.0, "makespan_ns": 0.0}

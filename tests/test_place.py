@@ -1,5 +1,6 @@
 """Noise-adaptive placement tests: interaction graphs, embedding enumeration,
 critical paths, and mapping selection."""
+import gc
 import hashlib
 import itertools
 import json
@@ -12,6 +13,7 @@ from qasmtrans import cli, devicelib, ir, place, qasm, route
 from qasmtrans.circuit import Circuit
 from qasmtrans.errors import MissingDuration, NoEmbedding
 from qasmtrans.place import DurationTable
+from qasmtrans.transpile import gc_paused
 
 from conftest import random_circuit
 
@@ -100,6 +102,17 @@ def test_embeddings_respect_limit_and_order():
     ig = place.InteractionGraph(3, [0, 1, 2], {(0, 1): 1, (1, 2): 1})
     emb = place.enumerate_embeddings(ig, devicelib.line(5).coupling, limit=3)
     assert emb.tolist() == [[0, 1, 2], [1, 2, 3], [2, 1, 0]]
+
+
+def test_enumeration_leaves_no_cyclic_garbage():
+    # compiles run with the cyclic collector paused, so the search state
+    # must be freed by reference counting alone
+    ig = place.InteractionGraph(3, [0, 1, 2], {(0, 1): 1, (1, 2): 1})
+    coupling = devicelib.heavy_hex_127().coupling
+    gc.collect()
+    with gc_paused():
+        assert len(place.enumerate_embeddings(ig, coupling)) > 100
+        assert gc.collect() == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 """transpile(): the one compile path behind the CLI, constrained routing and
-every space-share region, and the trace wrappers around its passes."""
+every space-share region, the trace wrappers around its passes, and the
+paused garbage collector."""
+import gc
 import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
-from qasmtrans import cli, devicelib, load_device, qasm
+from qasmtrans import cli, devicelib, load_device, lowering, oracle, pulse, qasm, route
 from qasmtrans.route import RoutingOptions
-from qasmtrans.transpile import TranspileOptions, transpile
+from qasmtrans.transpile import TranspileOptions, gc_paused, transpile
 
 from conftest import FIXTURES
 
@@ -80,3 +82,100 @@ def test_trace_wrappers_see_every_pass(tmp_path):
     # the embedding array feeds the traced placement counters
     assert "place.enumerate" in tracer.names
     assert tracer.counts.get("place.embeddings", 0) > 0
+
+
+@pytest.fixture
+def line_json(tmp_path):
+    def make(n: int, **kw) -> str:
+        p = tmp_path / f"line{n}.json"
+        p.write_text(devicelib.line(n, **kw).to_json())
+        return str(p)
+    return make
+
+
+def test_cli_restores_the_collector_on_every_exit(tmp_path, line_json, capsys):
+    bell = str(FIXTURES / "bell.qasm")
+    bad = tmp_path / "bad.qasm"
+    bad.write_text("qreg q[2]; frobnicate q[0];")
+    chain = line_json(7, basis="rigetti_pulse")
+    pulse_out = tmp_path / "bell.pulse.json"
+    assert gc.isenabled()
+    assert cli.main(["-i", bell, "-d", chain, "-b", "rigetti_pulse",
+                     "-o", str(tmp_path / "a.qasm"), "--pulse", str(pulse_out)]) == 0
+    assert gc.isenabled()
+    with pytest.raises(SystemExit):
+        cli.main(["-i", bell, "--seed", "3"])          # --seed needs a device
+    assert gc.isenabled()
+    assert cli.main(["-i", str(bad), "--stats"]) == 1
+    assert gc.isenabled()
+    assert cli.main(["-i", str(FIXTURES / "ghz_n5.qasm"), "-d", line_json(2),
+                     "-o", str(tmp_path / "b.qasm")]) == 3
+    assert gc.isenabled()
+    assert cli.main(["verify", bell, bell]) == 0
+    assert gc.isenabled()
+    assert cli.main(["simulate", str(pulse_out), "-d", chain,
+                     "-o", str(tmp_path / "sim.json")]) == 0
+    assert gc.isenabled()
+
+
+def test_transpile_restores_the_collector_when_it_raises(circuits, line5):
+    assert gc.isenabled()
+    with pytest.raises(ValueError):
+        transpile(circuits["bell"], line5, TranspileOptions(priority=[0, 1, 2, 3, 4],
+                                                            noise_adaptive=True))
+    assert gc.isenabled()
+
+
+def test_a_disabled_collector_stays_disabled(circuits, line5, line_json):
+    gc.disable()
+    try:
+        transpile(circuits["bell"], line5)
+        assert not gc.isenabled()
+        with gc_paused():
+            with gc_paused():
+                pass
+            assert not gc.isenabled()
+        assert cli.main(["-i", str(FIXTURES / "bell.qasm"), "-d", line_json(5),
+                         "--stats"]) == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def _record_collector_state(monkeypatch, module, name: str, seen: list):
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+
+
+@pytest.mark.parametrize("module,name", [(qasm, "parse_file"), (route, "sabre_route"),
+                                         (lowering, "lower")])
+def test_passes_run_with_the_collector_paused(monkeypatch, circuits, line5, line_json,
+                                              module, name):
+    seen = []
+    _record_collector_state(monkeypatch, module, name, seen)
+    if module is not qasm:
+        transpile(circuits["bell"], line5)
+    assert cli.main(["-i", str(FIXTURES / "bell.qasm"), "-d", line_json(5), "--stats"]) == 0
+    assert seen and not any(seen)
+    assert gc.isenabled()
+
+
+def test_subcommands_run_with_the_collector_paused(monkeypatch, tmp_path, line_json):
+    seen = []
+    _record_collector_state(monkeypatch, oracle, "equivalent", seen)
+    _record_collector_state(monkeypatch, pulse, "simulate_schedule", seen)
+    bell = str(FIXTURES / "bell.qasm")
+    chain = line_json(7, basis="rigetti_pulse")
+    pulse_out = tmp_path / "bell.pulse.json"
+    assert cli.main(["-i", bell, "-d", chain, "-b", "rigetti_pulse",
+                     "-o", str(tmp_path / "a.qasm"), "--pulse", str(pulse_out)]) == 0
+    assert cli.main(["verify", bell, bell]) == 0
+    assert cli.main(["simulate", str(pulse_out), "-d", chain,
+                     "-o", str(tmp_path / "sim.json")]) == 0
+    assert seen == [False, False]
+    assert gc.isenabled()
