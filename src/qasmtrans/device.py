@@ -8,7 +8,7 @@ Device JSON schema (version "qasmtrans-device/1"):
       "name": str,
       "num_qubits": int,
       "edges": [[a, b], ...],
-      "basis": "ibmq" | "rigetti" | "ionq" | "quantinuum" | [gate names],
+      "basis": "ibmq" | "rigetti" | "ionq" | "quantinuum" | "rigetti_pulse",
       "qubits": [{"t1_us","t2_us","readout_error","e1","gate_durations":{...}}],
       "edges_cal": [{"pair":[a,b], "e2", "duration_ns"}],
       "gate_durations": {name: ns}        # optional device-wide defaults

@@ -1,13 +1,14 @@
 """Vendor basis lowering: rewrite a routed 1/2-qubit circuit into the target
 machine's native gate set.
 
-One-qubit gates go through the ZXZ Euler form U ~ RZ(a) RX(b) RZ(g) with
-b in [0, pi]; the X-type factor is then realized natively (SX for IBM-style
-sets, quantized RX for Rigetti/Quantinuum, GPI/GPI2 for IonQ). Two-qubit
-gates reduce to CX, which each backend implements over its entangler with
-fixed single-qubit dressings (verified against the defining matrices in the
-test suite). Adjacent Z-rotations on the same qubit are merged mod 2pi and
-dropped when they vanish; this is the only optimization in this pass.
+Each basis is one `BasisSet` row of rules. One-qubit gates go through the
+ZXZ Euler form U ~ RZ(a) RX(b) RZ(g) with b in [0, pi]; the X-type factor is
+realized with the row's half-turn and full-turn pulses (SX/X for IBM-style
+sets, quantized RX for Rigetti/Quantinuum, GPI2/GPI for IonQ). Two-qubit
+gates reduce to CX, which each row implements over its entangler with a
+fixed template (verified against the defining matrices in the test suite).
+Adjacent Z-rotations on the same qubit are merged mod 2pi and dropped when
+they vanish; this is the only optimization in this pass.
 
 All contracts are up to global phase.
 """
@@ -16,7 +17,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -27,25 +27,54 @@ from .errors import NoRuleFor, UnsupportedGate
 PI = math.pi
 _EPS = 1e-12
 
+# A CX template is a tuple of (kind, local qubits, params) steps. The kind is
+# a basis gate name, FRAME (one merged Z rotation by params[0]) or EULER (the
+# one-qubit gate RZ(params[0]) RX(params[1]) RZ(params[2])). Local qubits
+# index ((control,), (target,), (control, target)).
+FRAME, EULER = "frame", "euler"
+A, B, AB = 0, 1, 2
+
 
 @dataclass(frozen=True)
 class BasisSet:
     name: str
-    one_qubit_gates: tuple  # (gate name, parameter count)
+    one_qubit_gates: tuple[str, ...]
     two_qubit_gate: str
+    half_pulse: tuple   # (gate, params) realizing RX(pi/2) up to phase
+    full_pulse: tuple   # (gate, params) realizing RX(pi) up to phase
+    cx: tuple           # CX template, steps as above
     virtual_z: str = "rz"   # the frame-rotation gate name
 
     def gate_names(self) -> set[str]:
-        return {g for g, _ in self.one_qubit_gates} | {self.two_qubit_gate}
+        return set(self.one_qubit_gates) | {self.two_qubit_gate}
 
+
+_RX_HALF, _RX_FULL = ("rx", (PI / 2,)), ("rx", (PI,))
+_H_ON_TARGET = (EULER, B, (PI / 2, PI / 2, PI / 2))  # H ~ RZ(pi/2) RX(pi/2) RZ(pi/2)
 
 VENDOR_BASES: dict[str, BasisSet] = {
-    "ibmq": BasisSet("ibmq", (("id", 0), ("rz", 1), ("sx", 0), ("x", 0)), "cx"),
-    "rigetti": BasisSet("rigetti", (("rx", 1), ("rz", 1)), "cz"),
-    "ionq": BasisSet("ionq", (("gpi", 1), ("gpi2", 1), ("gz", 1)), "ms", virtual_z="gz"),
-    "quantinuum": BasisSet("quantinuum", (("rx", 1), ("rz", 1)), "zz"),
-    # pulse-lane basis for iSWAP-native chips
-    "rigetti_pulse": BasisSet("rigetti_pulse", (("rx", 1), ("rz", 1)), "iswap"),
+    "ibmq": BasisSet("ibmq", ("id", "rz", "sx", "x"), "cx", ("sx", ()), ("x", ()),
+                     (("cx", AB, ()),)),
+    "rigetti": BasisSet("rigetti", ("rx", "rz"), "cz", _RX_HALF, _RX_FULL,
+                        (_H_ON_TARGET, ("cz", AB, ()), _H_ON_TARGET)),
+    # ry(pi/2) a; ms; rx(-pi/2) both; ry(-pi/2) a   (Molmer-Sorensen CX)
+    "ionq": BasisSet("ionq", ("gpi", "gpi2", "gz"), "ms", ("gpi2", (0.0,)), ("gpi", (0.0,)),
+                     (("gpi2", A, (PI / 2,)), ("ms", AB, ()), ("gpi2", A, (PI,)),
+                      ("gpi2", B, (PI,)), ("gpi2", A, (-PI / 2,))),
+                     virtual_z="gz"),
+    "quantinuum": BasisSet("quantinuum", ("rx", "rz"), "zz", _RX_HALF, _RX_FULL,
+                           (_H_ON_TARGET, ("zz", AB, ()), (FRAME, A, (-PI / 2,)),
+                            (FRAME, B, (-PI / 2,)), _H_ON_TARGET)),
+    # pulse-lane basis for iSWAP-native chips: iSWAP.(RX(pi/2) (x) I).iSWAP
+    # between the local dressings that make it CX, as the ZXZ angles of the
+    # KAK factors (recomputed in the test suite)
+    "rigetti_pulse": BasisSet(
+        "rigetti_pulse", ("rx", "rz"), "iswap", _RX_HALF, _RX_FULL,
+        ((EULER, A, (-2.156818736633614, 3.141592653589793, 0.0)),
+         (EULER, B, (1.5707963267948966, 0.5860224098387175, 3.141592653589793)),
+         ("iswap", AB, ()), ("rx", A, (PI / 2,)), ("iswap", AB, ()),
+         (EULER, A, (2.5555702437510757, 3.141592653589793, 0.0)),
+         (EULER, B, (3.3306690738754696e-16, 2.156818736633614, -1.5707963267948961)))),
 }
 
 
@@ -85,7 +114,7 @@ def _near(x: float, target: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# per-basis emission
+# emission: one interpreter for every basis row
 # ---------------------------------------------------------------------------
 
 class _Emitter:
@@ -93,11 +122,12 @@ class _Emitter:
 
     Gates are built with `GateIR.trusted`: every caller passes a basis or
     routed gate name with its arity, a tuple of distinct qubits taken from a
-    checked gate, and Python float parameters (angles from `math`/`cmath`
-    or copied from a checked gate)."""
+    checked gate, and Python float parameters (angles from `math`/`cmath`,
+    the basis table, or copied from a checked gate)."""
 
     def __init__(self, basis: BasisSet):
         self.basis = basis
+        self.half, self.full, self.cx = basis.half_pulse, basis.full_pulse, basis.cx
         self.out: list[GateIR] = []
         self._tail_z: dict[int, int] = {}  # qubit -> index of trailing Z rotation
 
@@ -133,110 +163,36 @@ class _Emitter:
 
 def _emit_1q(em: _Emitter, q: int, alpha: float, beta: float, gamma: float):
     """RZ(alpha) RX(beta) RZ(gamma) in the target basis, gamma end first."""
-    basis = em.basis.name
     if _near(beta, 0.0):
         em.z(q, alpha + gamma)
         return
-    if basis == "ibmq":
-        if _near(beta, PI / 2):
-            em.z(q, gamma)
-            em.emit("sx", (q,))
-            em.z(q, alpha)
-        elif _near(beta, PI):
-            em.z(q, gamma)
-            em.emit("x", (q,))
-            em.z(q, alpha)
-        else:
-            em.z(q, gamma + PI / 2)
-            em.emit("sx", (q,))
-            em.z(q, beta + PI)
-            em.emit("sx", (q,))
-            em.z(q, alpha + PI / 2)
-    elif basis in ("rigetti", "quantinuum", "rigetti_pulse"):
-        if _near(beta, PI / 2) or _near(beta, PI):
-            em.z(q, gamma)
-            em.emit("rx", (q,), (PI / 2 if _near(beta, PI / 2) else PI,))
-            em.z(q, alpha)
-        else:
-            em.z(q, gamma + PI / 2)
-            em.emit("rx", (q,), (PI / 2,))
-            em.z(q, beta + PI)
-            em.emit("rx", (q,), (PI / 2,))
-            em.z(q, alpha + PI / 2)
-    elif basis == "ionq":
-        if _near(beta, PI / 2):
-            em.z(q, gamma)
-            em.emit("gpi2", (q,), (0.0,))
-            em.z(q, alpha)
-        elif _near(beta, PI):
-            em.z(q, gamma)
-            em.emit("gpi", (q,), (0.0,))
-            em.z(q, alpha)
-        else:
-            em.z(q, gamma + PI / 2)
-            em.emit("gpi2", (q,), (0.0,))
-            em.z(q, beta + PI)
-            em.emit("gpi2", (q,), (0.0,))
-            em.z(q, alpha + PI / 2)
+    qs = (q,)
+    if _near(beta, PI / 2):
+        name, params = em.half
+    elif _near(beta, PI):
+        name, params = em.full
     else:
-        raise NoRuleFor("u3", basis)
-
-
-def _emit_1q_matrix(em: _Emitter, q: int, u: np.ndarray):
-    alpha, beta, gamma = lower_1q_zxz(u)
-    _emit_1q(em, q, alpha, beta, gamma)
-
-
-_H_ZXZ = (PI / 2, PI / 2, PI / 2)  # H ~ RZ(pi/2) RX(pi/2) RZ(pi/2)
-
-
-@lru_cache(maxsize=None)
-def _iswap_cx_dressings():
-    """Local 1q corrections making iSWAP.(RX(pi/2) (x) I).iSWAP into CX."""
-    from .kak import kak_decompose
-    iswap = gates.matrix("iswap")
-    mid = iswap @ np.kron(gates.matrix("rx", (PI / 2,)), np.eye(2)) @ iswap
-    wm = kak_decompose(mid)
-    wc = kak_decompose(gates.matrix("cx"))
-    left1 = wc.k1 @ wm.k1.conj().T
-    left2 = wc.k2 @ wm.k2.conj().T
-    right1 = wm.k3.conj().T @ wc.k3
-    right2 = wm.k4.conj().T @ wc.k4
-    return left1, left2, right1, right2
+        name, params = em.half
+        em.z(q, gamma + PI / 2)
+        em.emit(name, qs, params)
+        em.z(q, beta + PI)
+        em.emit(name, qs, params)
+        em.z(q, alpha + PI / 2)
+        return
+    em.z(q, gamma)
+    em.emit(name, qs, params)
+    em.z(q, alpha)
 
 
 def _emit_cx(em: _Emitter, a: int, b: int):
-    basis = em.basis.name
-    if basis == "ibmq":
-        em.emit("cx", (a, b))
-    elif basis == "rigetti":
-        _emit_1q(em, b, *_H_ZXZ)
-        em.emit("cz", (a, b))
-        _emit_1q(em, b, *_H_ZXZ)
-    elif basis == "quantinuum":
-        _emit_1q(em, b, *_H_ZXZ)
-        em.emit("zz", (a, b))
-        em.z(a, -PI / 2)
-        em.z(b, -PI / 2)
-        _emit_1q(em, b, *_H_ZXZ)
-    elif basis == "ionq":
-        # ry(pi/2) a; ms; rx(-pi/2) both; ry(-pi/2) a   (Molmer-Sorensen CX)
-        em.emit("gpi2", (a,), (PI / 2,))
-        em.emit("ms", (a, b))
-        em.emit("gpi2", (a,), (PI,))
-        em.emit("gpi2", (b,), (PI,))
-        em.emit("gpi2", (a,), (-PI / 2,))
-    elif basis == "rigetti_pulse":
-        left1, left2, right1, right2 = _iswap_cx_dressings()
-        _emit_1q_matrix(em, a, right1)
-        _emit_1q_matrix(em, b, right2)
-        em.emit("iswap", (a, b))
-        em.emit("rx", (a,), (PI / 2,))
-        em.emit("iswap", (a, b))
-        _emit_1q_matrix(em, a, left1)
-        _emit_1q_matrix(em, b, left2)
-    else:
-        raise NoRuleFor("cx", basis)
+    on = ((a,), (b,), (a, b))
+    for kind, local, params in em.cx:
+        if kind == FRAME:
+            em.z(on[local][0], params[0])
+        elif kind == EULER:
+            _emit_1q(em, on[local][0], *params)
+        else:
+            em.emit(kind, on[local], params)
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +227,12 @@ def _lower_gate(em: _Emitter, bs: BasisSet, native: set, g: GateIR):
         return
     if nq > 2:
         raise UnsupportedGate(f"{name} acts on {nq} qubits; decompose first")
-    if name == bs.virtual_z or (name in ("rz", "u1", "gz") and bs.virtual_z in ("rz", "gz")):
+    if name in ("rz", "u1", "gz"):
         # all Z-rotation spellings collapse onto the basis frame gate
         em.z(g.qubits[0], g.params[0])
         return
     if name in native:
-        if name == "rx" and bs.name in ("rigetti", "quantinuum", "rigetti_pulse"):
+        if name == "rx":
             # RX is quantized to {+-pi/2, pi}; other angles go through Euler
             theta = g.params[0] % (2 * PI)
             if _near(theta, 0.0):
@@ -286,12 +242,11 @@ def _lower_gate(em: _Emitter, bs: BasisSet, native: set, g: GateIR):
                     em.emit("rx", g.qubits, (canonical,))
                     return
         else:
-            if name == "id":
-                return
-            em.emit(name, g.qubits, g.params)
+            if name != "id":
+                em.emit(name, g.qubits, g.params)
             return
     if nq == 1:
-        _emit_1q_matrix(em, g.qubits[0], g.matrix)
+        _emit_1q(em, g.qubits[0], *lower_1q_zxz(g.matrix))
         return
     # two-qubit: everything funnels through CX
     if name == "cx":

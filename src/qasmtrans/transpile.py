@@ -22,13 +22,13 @@ from dataclasses import dataclass, field
 from . import ir, lowering, place, route
 from .circuit import Circuit
 from .device import DeviceModel, partial_graph, restrict_device
-from .errors import TooManyQubits
+from .errors import NoRuleFor, SchemaError, TooManyQubits
 
 
 @dataclass
 class TranspileOptions:
     seed: int = 0
-    basis: str | list[str] | None = None     # None: the device's basis
+    basis: str | None = None     # None: the device's basis
     routing: route.RoutingOptions = field(default_factory=route.RoutingOptions)
     noise_adaptive: bool = False
     placement_limit: int = 10000
@@ -77,7 +77,8 @@ def gc_paused():
 def transpile(circuit: Circuit, device: DeviceModel, options: TranspileOptions | None = None,
               region: list[int] | None = None) -> TranspileResult:
     """Compile `circuit` for `device`, inside `region` (device qubits, sorted)
-    when given. Deterministic for fixed (circuit, device, options, region)."""
+    when given. Deterministic for fixed (circuit, device, options, region).
+    Raises SchemaError for a basis that is not a `lowering.VENDOR_BASES` key."""
     opts = options or TranspileOptions()
     if opts.priority is not None and (opts.noise_adaptive or opts.routing.refinement_rounds
                                       or opts.constrain_k is not None or region is not None):
@@ -85,6 +86,12 @@ def transpile(circuit: Circuit, device: DeviceModel, options: TranspileOptions |
                          "layout refinement, constrain_k or a region")
     if region is not None and opts.constrain_k is not None:
         raise ValueError("constrain_k cannot be combined with a region")
+    basis = opts.basis or device.basis or "ibmq"
+    try:  # before routing, so an unknown basis fails before any work
+        bs = lowering.resolve_basis(basis)
+    except NoRuleFor:
+        known = ", ".join(lowering.VENDOR_BASES)
+        raise SchemaError("basis", f"{basis!r} is none of {known}") from None
     target, qubits = _target(circuit, device, opts.constrain_k, region)
     timings: dict[str, float] = {}
     with timed(timings, "decompose"):
@@ -117,7 +124,7 @@ def transpile(circuit: Circuit, device: DeviceModel, options: TranspileOptions |
         initial = [qubits[p] for p in initial]
         final = [qubits[p] for p in final]
     with timed(timings, "lower"):
-        out = lowering.lower(circ, opts.basis or device.basis or "ibmq")
+        out = lowering.lower(circ, bs)
     return TranspileResult(out, initial, final, routed.swaps_inserted, qubits, ranked, timings)
 
 

@@ -500,3 +500,69 @@ def test_simulate_schedule_without_events(tmp_path, capsys):
     assert _run(["simulate", str(schedule), "-d", str(dev)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc == {"final_fidelity": 1.0, "trace_error": 0.0, "makespan_ns": 0.0}
+
+
+def _exit_code(argv) -> int:
+    try:
+        return _run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_unknown_backend_is_usage_error(tmp_path, line5_json, capsys):
+    # this used to exit 4 ("no lowering rule"), after routing had run
+    out = tmp_path / "ub.qasm"
+    code = _exit_code(["-i", str(FIXTURES / "bell.qasm"), "-d", line5_json, "-b", "mystery",
+                       "-o", str(out)])
+    assert code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--backend" in errors[0] and "mystery" in errors[0]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_backend_is_case_insensitive(tmp_path, line5_json):
+    out = tmp_path / "ci.qasm"
+    assert _run(["-i", str(FIXTURES / "bell.qasm"), "-d", line5_json, "-b", "IBMQ",
+                 "-o", str(out)]) == 0
+    assert {g.name for g in qasm.parse_file(out).gates} <= lowering.VENDOR_BASES["ibmq"].gate_names()
+
+
+@pytest.mark.parametrize("basis", ["mystery", 7, ["cx", "rz", "sx"]],
+                         ids=["name", "number", "gate-list"])
+def test_unknown_device_basis_is_device_error(tmp_path, capsys, basis):
+    # these used to exit 4 ("no lowering rule"), after routing had run
+    doc = devicelib.line(5).to_json_dict()
+    doc["basis"] = basis
+    dev = tmp_path / "dev" / "bad.json"
+    dev.parent.mkdir()
+    dev.write_text(json.dumps(doc))
+    out = tmp_path / "ub.qasm"
+    code = _exit_code(["-i", str(FIXTURES / "bell.qasm"), "-d", str(dev), "-o", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: device schema error at basis")
+    assert list(tmp_path.iterdir()) == [dev.parent]
+
+
+@pytest.mark.parametrize("basis", ["IBMQ", None], ids=["upper-case", "null"])
+def test_device_basis_spellings_still_compile(tmp_path, basis):
+    # both compiled before the basis was checked up front; a null basis means ibmq
+    doc = devicelib.line(5).to_json_dict()
+    doc["basis"] = basis
+    dev = tmp_path / "dev.json"
+    dev.write_text(json.dumps(doc))
+    out = tmp_path / "out.qasm"
+    assert _run(["-i", str(FIXTURES / "bell.qasm"), "-d", str(dev), "-o", str(out)]) == 0
+    assert {g.name for g in qasm.parse_file(out).gates} <= lowering.VENDOR_BASES["ibmq"].gate_names()
+
+
+def test_second_main_call_reads_only_its_own_input(tmp_path, capsys):
+    # main reuses one parser across calls
+    bell, ghz = str(FIXTURES / "bell.qasm"), str(FIXTURES / "ghz_n5.qasm")
+    assert _run(["-i", bell, "-o", str(tmp_path / "a.qasm")]) == 0
+    assert _run(["-i", ghz, "-o", str(tmp_path / "b.qasm")]) == 0
+    # -i appends to a list default; the second run must not see the first's input
+    summary = json.loads((tmp_path / "b.qasm.summary.json").read_text())
+    assert summary["inputs"] == [ghz]
+    assert _exit_code(["-i", bell, "--verify"]) == 2
+    assert "needs a device (-d)" in capsys.readouterr().err

@@ -78,12 +78,56 @@ def test_cx_under_rigetti_is_cz_conjugation():
     assert phase_distance(oracle.circuit_unitary(out), gates.matrix("cx")) < 1e-12
 
 
+def _template_circuit(bs) -> Circuit:
+    """A row's CX template on (control 0, target 1), its Euler steps spelled
+    as rz-rx-rz."""
+    c = Circuit(2)
+    for kind, local, params in bs.cx:
+        qubits = ((0,), (1,), (0, 1))[local]
+        if kind == lower.FRAME:
+            c.add("rz", qubits, params)
+        elif kind == lower.EULER:
+            alpha, beta, gamma = params
+            c.add("rz", qubits, (gamma,)).add("rx", qubits, (beta,)).add("rz", qubits, (alpha,))
+        else:
+            c.add(kind, qubits, params)
+    return c
+
+
 @pytest.mark.parametrize("basis", ALL_BASES)
 def test_cx_matrix_pinned_per_basis(basis):
+    bs = VENDOR_BASES[basis]
+    native = bs.gate_names()
     out = lower.lower(Circuit(2).add("cx", [0, 1]), basis)
-    assert phase_distance(oracle.circuit_unitary(out), gates.matrix("cx")) < 1e-10
-    native = VENDOR_BASES[basis].gate_names()
+    for c in (out, _template_circuit(bs)):
+        assert phase_distance(oracle.circuit_unitary(c), gates.matrix("cx")) < 1e-10
     assert all(g.name in native for g in out.gates)
+
+
+@pytest.mark.parametrize("basis", list(VENDOR_BASES))
+def test_basis_row_pulses_and_gates(basis):
+    bs = VENDOR_BASES[basis]
+    for (name, params), theta in ((bs.half_pulse, math.pi / 2), (bs.full_pulse, math.pi)):
+        assert phase_distance(gates.matrix(name, params), gates.matrix("rx", (theta,))) <= 1e-12
+    # every gate the row can emit is native to it
+    steps = {kind for kind, _, _ in bs.cx} - {lower.FRAME, lower.EULER}
+    assert {bs.half_pulse[0], bs.full_pulse[0], bs.virtual_z} | steps <= bs.gate_names()
+
+
+def test_rigetti_pulse_dressings_match_kak():
+    # the frozen Euler angles of the iSWAP CX template are the ZXZ form of
+    # the KAK factors that turn iSWAP.(RX(pi/2) (x) I).iSWAP into CX
+    from qasmtrans.kak import kak_decompose
+    iswap = gates.matrix("iswap")
+    mid = kak_decompose(iswap @ np.kron(gates.matrix("rx", (math.pi / 2,)), np.eye(2)) @ iswap)
+    cx = kak_decompose(gates.matrix("cx"))
+    dressings = [(lower.A, mid.k3.conj().T @ cx.k3), (lower.B, mid.k4.conj().T @ cx.k4),
+                 (lower.A, cx.k1 @ mid.k1.conj().T), (lower.B, cx.k2 @ mid.k2.conj().T)]
+    frozen = [(local, params) for kind, local, params in VENDOR_BASES["rigetti_pulse"].cx
+              if kind == lower.EULER]
+    assert [local for local, _ in frozen] == [local for local, _ in dressings]
+    for (_, angles), (_, u) in zip(frozen, dressings):
+        assert np.max(np.abs(np.subtract(angles, lower_1q_zxz(u)))) <= 1e-12
 
 
 @pytest.mark.parametrize("basis", ALL_BASES)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from qasmtrans import cli, devicelib, load_device, lowering, oracle, pulse, qasm, route
+from qasmtrans.errors import SchemaError
 from qasmtrans.route import RoutingOptions
 from qasmtrans.transpile import TranspileOptions, gc_paused, transpile
 
@@ -53,6 +54,18 @@ def test_priority_rejects_options_it_cannot_honour(circuits, line5):
             transpile(circuits["bell"], line5, opts)
     with pytest.raises(ValueError):
         transpile(circuits["bell"], line5, TranspileOptions(constrain_k=3), region=[0, 1, 2])
+
+
+def test_unknown_basis_fails_before_routing(monkeypatch, circuits, line5):
+    # this used to route first and raise NoRuleFor from lowering
+    def no_routing(*args, **kwargs):
+        raise AssertionError("routed before checking the basis")
+
+    monkeypatch.setattr(route, "sabre_route", no_routing)
+    for device, opts in ((line5, TranspileOptions(basis="mystery")),
+                         (devicelib.line(5, basis="mystery"), None)):
+        with pytest.raises(SchemaError, match="basis"):
+            transpile(circuits["bell"], device, opts)
 
 
 def test_trace_wrappers_see_every_pass(tmp_path):
