@@ -14,10 +14,13 @@ composition gates) goes through the checked constructor.
 """
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import gates
 from .errors import ArityMismatch, QasmTransError, UnknownGate
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BARRIER = "barrier"
 

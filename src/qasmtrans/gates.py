@@ -10,15 +10,21 @@ Supported names fall into three groups:
 
 Qubit 0 of a gate is the most significant bit of the matrix index, so a
 two-qubit gate on (control, target) has the conventional CX layout.
+
+The name table, gate sets and expansions need no numpy. The matrix
+functions import it when first called, so a compile whose gates lower
+without a matrix never loads it.
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import UnknownGate
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PI = math.pi
 
@@ -63,6 +69,7 @@ def num_qubits_of(name: str) -> int:
 # ---------------------------------------------------------------------------
 
 def _u3(theta, phi, lam):
+    import numpy as np
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     return np.array(
         [[c, -np.exp(1j * lam) * s],
@@ -72,32 +79,38 @@ def _u3(theta, phi, lam):
 
 _SQ2 = 1 / math.sqrt(2)
 
-_FIXED_1Q = {
-    "id": np.eye(2, dtype=complex),
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.diag([1, -1]).astype(complex),
-    "h": np.array([[1, 1], [1, -1]], dtype=complex) * _SQ2,
-    "s": np.diag([1, 1j]),
-    "sdg": np.diag([1, -1j]),
-    "t": np.diag([1, np.exp(1j * PI / 4)]),
-    "tdg": np.diag([1, np.exp(-1j * PI / 4)]),
-    "sx": np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex) / 2,
-}
 
-_CX = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-_ISWAP = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]], dtype=complex)
-# Molmer-Sorensen XX interaction, exp(-i pi/4 XX)
-_MS = np.array(
-    [[1, 0, 0, -1j], [0, 1, -1j, 0], [0, -1j, 1, 0], [-1j, 0, 0, 1]], dtype=complex
-) * _SQ2
-# native ZZ interaction, exp(-i pi/4 ZZ)
-_ZZ = np.diag(np.exp(-1j * PI / 4 * np.array([1, -1, -1, 1])))
+@lru_cache(maxsize=None)
+def _fixed_matrices() -> dict[str, np.ndarray]:
+    """Matrices of the parameterless gates, built on first use."""
+    import numpy as np
+    return {
+        "id": np.eye(2, dtype=complex),
+        "x": np.array([[0, 1], [1, 0]], dtype=complex),
+        "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+        "z": np.diag([1, -1]).astype(complex),
+        "h": np.array([[1, 1], [1, -1]], dtype=complex) * _SQ2,
+        "s": np.diag([1, 1j]),
+        "sdg": np.diag([1, -1j]),
+        "t": np.diag([1, np.exp(1j * PI / 4)]),
+        "tdg": np.diag([1, np.exp(-1j * PI / 4)]),
+        "sx": np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex) / 2,
+        "cx": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+        "iswap": np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]],
+                          dtype=complex),
+        # Molmer-Sorensen XX interaction, exp(-i pi/4 XX)
+        "ms": np.array([[1, 0, 0, -1j], [0, 1, -1j, 0], [0, -1j, 1, 0], [-1j, 0, 0, 1]],
+                       dtype=complex) * _SQ2,
+        # native ZZ interaction, exp(-i pi/4 ZZ)
+        "zz": np.diag(np.exp(-1j * PI / 4 * np.array([1, -1, -1, 1]))),
+    }
 
 
 def _matrix_for(name: str, params: tuple) -> np.ndarray:
-    if name in _FIXED_1Q:
-        return _FIXED_1Q[name].copy()
+    import numpy as np
+    fixed = _fixed_matrices().get(name)
+    if fixed is not None:
+        return fixed.copy()
     if name == "u3":
         return _u3(*params)
     if name == "u2":
@@ -109,14 +122,6 @@ def _matrix_for(name: str, params: tuple) -> np.ndarray:
         return _u3(params[0], -PI / 2, PI / 2)
     if name == "ry":
         return _u3(params[0], 0, 0)
-    if name == "cx":
-        return _CX.copy()
-    if name == "iswap":
-        return _ISWAP.copy()
-    if name == "ms":
-        return _MS.copy()
-    if name == "zz":
-        return _ZZ.copy()
     if name == "gpi":
         phi = params[0]
         return np.array([[0, np.exp(-1j * phi)], [np.exp(1j * phi), 0]])
@@ -132,6 +137,7 @@ def _matrix_for(name: str, params: tuple) -> np.ndarray:
 
 @lru_cache(maxsize=4096)
 def _cached_matrix(name: str, params: tuple) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
     m = _matrix_for(name, params)
     re = np.ascontiguousarray(m.real)
     im = np.ascontiguousarray(m.imag)
@@ -305,6 +311,7 @@ def expand(name: str, params: tuple, qubits: tuple) -> list[tuple[str, tuple, tu
 
 
 def _expansion_matrix(name: str, params: tuple) -> np.ndarray:
+    import numpy as np
     n = GATE_INFO[name][0]
     dim = 1 << n
     t = np.eye(dim, dtype=complex).reshape([2] * n + [dim])
@@ -318,6 +325,7 @@ def apply_matrix(t: np.ndarray, mat: np.ndarray, qubits: tuple) -> np.ndarray:
     [2]*n + [batch]: every batch column is an n-qubit state (the columns of
     a unitary, or a set of probe states). Returns a tensor of the same shape.
     """
+    import numpy as np
     k = len(qubits)
     t = np.tensordot(mat.reshape([2] * (2 * k)), t, axes=(list(range(k, 2 * k)), list(qubits)))
     # tensordot moved the gate's output axes to the front; put them back
@@ -326,6 +334,7 @@ def apply_matrix(t: np.ndarray, mat: np.ndarray, qubits: tuple) -> np.ndarray:
 
 def expm_herm(h: np.ndarray, t: float = 1.0) -> np.ndarray:
     """exp(i*t*h) for Hermitian h, batched over leading axes."""
+    import numpy as np
     w, v = np.linalg.eigh(h)
     return (v * np.exp(1j * (t * w))[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
@@ -333,6 +342,7 @@ def expm_herm(h: np.ndarray, t: float = 1.0) -> np.ndarray:
 # defining matrices for composition gates, for equivalence testing
 
 def controlled(u: np.ndarray, num_controls: int = 1) -> np.ndarray:
+    import numpy as np
     dim = u.shape[0] << num_controls
     out = np.eye(dim, dtype=complex)
     out[-u.shape[0]:, -u.shape[0]:] = u
@@ -341,6 +351,7 @@ def controlled(u: np.ndarray, num_controls: int = 1) -> np.ndarray:
 
 def defining_matrix(name: str, params: tuple = ()) -> np.ndarray:
     """Textbook matrix a composition gate must match up to global phase."""
+    import numpy as np
     if name == "cz":
         return np.diag([1, 1, 1, -1]).astype(complex)
     if name == "cy":

@@ -8,7 +8,9 @@ sets, quantized RX for Rigetti/Quantinuum, GPI2/GPI for IonQ). Two-qubit
 gates reduce to CX, which each row implements over its entangler with a
 fixed template (verified against the defining matrices in the test suite).
 Adjacent Z-rotations on the same qubit are merged mod 2pi and dropped when
-they vanish; this is the only optimization in this pass.
+they vanish; this is the only optimization in this pass. The parameterless
+one-qubit gates read frozen Euler rows (`FIXED_EULER`), so only parameterised
+non-native one-qubit gates build a matrix and load numpy.
 
 All contracts are up to global phase.
 """
@@ -17,12 +19,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import gates
 from .circuit import BARRIER, Circuit, GateIR
 from .errors import NoRuleFor, UnsupportedGate
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PI = math.pi
 _EPS = 1e-12
@@ -95,6 +99,7 @@ def resolve_basis(basis) -> BasisSet:
 
 def lower_1q_zxz(u: np.ndarray) -> tuple[float, float, float]:
     """(alpha, beta, gamma) with U ~ RZ(alpha) RX(beta) RZ(gamma), beta in [0, pi]."""
+    import numpy as np
     u = np.asarray(u, dtype=complex)
     det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
     su = u * cmath.exp(-1j * cmath.phase(det) / 2)
@@ -107,6 +112,23 @@ def lower_1q_zxz(u: np.ndarray) -> tuple[float, float, float]:
     ssum = -2 * cmath.phase(su[0, 0])
     sdiff = 2 * (cmath.phase(su[1, 0]) + PI / 2)
     return ((ssum + sdiff) / 2, beta, (ssum - sdiff) / 2)
+
+
+# lower_1q_zxz(gates.matrix(name)) of every parameterless one-qubit gate, as
+# its exact float values, signed zeros included (the test suite recomputes
+# them); t's alpha is one ulp above PI / 4
+FIXED_EULER: dict[str, tuple[float, float, float]] = {
+    "id": (-0.0, 0.0, 0.0),
+    "x": (0.0, PI, 0.0),
+    "y": (PI, PI, 0.0),
+    "z": (PI, 0.0, 0.0),
+    "h": (PI / 2, PI / 2, PI / 2),
+    "s": (PI / 2, 0.0, 0.0),
+    "sdg": (-PI / 2, 0.0, 0.0),
+    "t": (0.7853981633974484, 0.0, 0.0),
+    "tdg": (-0.7853981633974484, 0.0, 0.0),
+    "sx": (-7.850462293418876e-17, PI / 2, -7.850462293418876e-17),
+}
 
 
 def _near(x: float, target: float) -> bool:
@@ -246,7 +268,7 @@ def _lower_gate(em: _Emitter, bs: BasisSet, native: set, g: GateIR):
                 em.emit(name, g.qubits, g.params)
             return
     if nq == 1:
-        _emit_1q(em, g.qubits[0], *lower_1q_zxz(g.matrix))
+        _emit_1q(em, g.qubits[0], *(FIXED_EULER.get(name) or lower_1q_zxz(g.matrix)))
         return
     # two-qubit: everything funnels through CX
     if name == "cx":

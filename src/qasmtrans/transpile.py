@@ -6,7 +6,8 @@ The target is the whole device, a connected k-qubit partial graph of it
 target's own qubit numbering; the result is lifted to the device's numbering
 once, before lowering. Passes are called through their modules
 (`route.sabre_route`, not a name imported from `route`), so wrappers
-installed on module attributes see every call.
+installed on module attributes see every call. `place` (and numpy with it)
+is imported only when noise-adaptive placement runs.
 
 A compile runs with the cyclic garbage collector paused (`gc_paused`): the
 gate IR forms no reference cycles, so reference counting frees everything a
@@ -18,11 +19,15 @@ import gc
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from . import ir, lowering, place, route
+from . import ir, lowering, route
 from .circuit import Circuit
 from .device import DeviceModel, partial_graph, restrict_device
 from .errors import NoRuleFor, SchemaError, TooManyQubits
+
+if TYPE_CHECKING:
+    from . import place
 
 
 @dataclass
@@ -114,6 +119,7 @@ def transpile(circuit: Circuit, device: DeviceModel, options: TranspileOptions |
     ranked = None
     if opts.noise_adaptive:
         with timed(timings, "place"):
+            from . import place
             best, ranked = place.select_placement(circ, target, limit=opts.placement_limit)
             relabel = _total_perm(best.mapping.virt_to_phys, target.num_qubits)
             circ = circ.remapped(relabel)

@@ -1,9 +1,14 @@
-"""End-to-end CLI tests: pipeline runs, exit codes, artifacts, determinism."""
+"""End-to-end CLI tests: pipeline runs, exit codes, artifacts, determinism,
+and the imports a fresh interpreter makes."""
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import qasmtrans
 from qasmtrans import cli, devicelib, load_device, lowering, oracle, qasm, route
 from qasmtrans.circuit import Circuit
 from qasmtrans.errors import NoRuleFor, SchemaError
@@ -566,3 +571,69 @@ def test_second_main_call_reads_only_its_own_input(tmp_path, capsys):
     assert summary["inputs"] == [ghz]
     assert _exit_code(["-i", bell, "--verify"]) == 2
     assert "needs a device (-d)" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# fresh interpreters: what importing and compiling load
+# ---------------------------------------------------------------------------
+
+_SRC = str(Path(qasmtrans.__file__).resolve().parents[1])
+_NO_NUMPY = "assert 'numpy' not in sys.modules, sorted(m for m in sys.modules if 'numpy' in m)"
+_QASM_HEAD = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\ncreg c[3];\n'
+
+
+def _fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run `code` in a new interpreter that imports this qasmtrans."""
+    path = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", "import sys\n" + code, *args],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_import_loads_no_numpy():
+    proc = _fresh("import qasmtrans, qasmtrans.cli\n" + _NO_NUMPY)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("body", [
+    "rz(0.3) q[0];\nsx q[1];\nx q[2];\ncx q[0],q[2];\ncx q[2],q[1];\n",
+    "h q[0];\nt q[1];\ns q[2];\nsdg q[0];\ncx q[0],q[1];\ncx q[1],q[2];\n"
+    "measure q[0] -> c[0];\nmeasure q[2] -> c[2];\n",
+])
+def test_native_basis_compile_loads_no_numpy(tmp_path, line5_json, body):
+    src = tmp_path / "in.qasm"
+    src.write_text(_QASM_HEAD + body)
+    out = tmp_path / "out.qasm"
+    argv = ["-i", str(src), "-d", line5_json, "-b", "ibmq", "-o", str(out)]
+    proc = _fresh("from qasmtrans import cli\nassert cli.main(sys.argv[1:]) == 0\n" + _NO_NUMPY,
+                  *argv)
+    assert proc.returncode == 0, proc.stderr
+    # the same bytes as a compile in this process, where numpy is loaded
+    fresh = out.read_text()
+    assert _run(argv) == 0
+    assert out.read_text() == fresh
+
+
+def test_fresh_noise_adaptive_verify_compile(tmp_path, line5_json):
+    # the flags that need numpy import it on their own
+    out = tmp_path / "out.qasm"
+    proc = _fresh("from qasmtrans import cli\nsys.exit(cli.main(sys.argv[1:]))",
+                  "-i", str(FIXTURES / "bell.qasm"), "-d", line5_json, "-o", str(out),
+                  "--noise-adaptive", "--verify")
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(Path(str(out) + ".summary.json").read_text())
+    assert summary["verified"] is True and summary["placement_score"] is not None
+
+
+def test_every_export_resolves():
+    # names from the numpy-backed modules are resolved on first access
+    proc = _fresh("import json, qasmtrans\nns = {}\nexec('from qasmtrans import *', ns)\n"
+                  "print(json.dumps(sorted(set(qasmtrans.__all__) - set(ns))))")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+    for name in qasmtrans.__all__:
+        assert getattr(qasmtrans, name) is not None, name
+    assert qasmtrans.select_placement.__module__ == "qasmtrans.place"
+    assert getattr(qasmtrans, "no_such_name", None) is None
+    with pytest.raises(AttributeError):
+        qasmtrans.no_such_name

@@ -11,7 +11,7 @@ import qasmtrans.lowering as lower
 from qasmtrans import devicelib, gates, ir, oracle, qasm, route
 from qasmtrans.circuit import Circuit, GateIR
 from qasmtrans.errors import NoRuleFor
-from qasmtrans.lowering import VENDOR_BASES, lower_1q_zxz
+from qasmtrans.lowering import FIXED_EULER, VENDOR_BASES, lower_1q_zxz
 from qasmtrans.pulsesim import avg_gate_fidelity
 from qasmtrans.transpile import TranspileOptions, transpile
 
@@ -42,6 +42,16 @@ def test_zxz_rx_axis_case():
 def test_zxz_hadamard():
     angles = lower_1q_zxz(gates.matrix("h"))
     assert phase_distance(_reconstruct_zxz(*angles), gates.matrix("h")) < 1e-9
+
+
+def test_fixed_euler_rows_are_the_zxz_angles():
+    # the rows replace lower_1q_zxz(g.matrix) in lowering, so each must be
+    # that call's result bit for bit (float.hex tells -0.0 from 0.0)
+    parameterless = {n for n, (nq, npar) in gates.GATE_INFO.items() if nq == 1 and npar == 0}
+    assert set(FIXED_EULER) == parameterless
+    for name, row in FIXED_EULER.items():
+        expected = lower_1q_zxz(gates.matrix(name))
+        assert tuple(map(float.hex, row)) == tuple(map(float.hex, expected)), name
 
 
 def test_zxz_random_su2_reconstruction_fidelity():

@@ -89,6 +89,21 @@ def test_makespan_equals_critical_path(chain_lib, circuits):
         assert s.makespan_ns == latency
 
 
+def test_drive_angles_of_the_native_pulse_gates(chain_lib):
+    # each gate is one drive event whose area is its rotation angle, about
+    # its axis phase less the frame phase
+    _dev, lib = chain_lib
+    phi = 0.9
+    c = (Circuit(1).add("sx", [0]).add("x", [0]).add("gpi2", [0], (phi,))
+         .add("rz", [0], (0.4,)).add("gpi", [0], (phi,)))
+    s = pulse.build_schedule(c, lib)
+    area = pulse.unit_area(lib.drive_shape, lib.d1q_ns, s.events[0].waveform_params)
+    assert [e.amplitude * area for e in s.events] == pytest.approx([PI / 2, PI, PI / 2, PI])
+    assert [e.phase_rad for e in s.events] == pytest.approx([0.0, 0.0, phi, phi - 0.4])
+    with pytest.raises(MissingTemplate):
+        pulse.build_schedule(Circuit(1).add("y", [0]), lib)
+
+
 def test_missing_template_for_unlowered_gate(chain_lib):
     _dev, lib = chain_lib
     with pytest.raises(MissingTemplate):
