@@ -10,7 +10,7 @@ import importlib
 
 from .circuit import Circuit, GateIR, RegisterMap
 from .device import CalibrationData, CouplingGraph, DeviceModel, load_device, partial_graph
-from .ir import CircuitDag, CircuitStats, build_dag, decompose_3q, stats
+from .ir import CircuitDag, CircuitStats, build_dag, critical_path, decompose_3q, stats
 from .lowering import BasisSet, VENDOR_BASES, lower, lower_1q_zxz
 from .partition import Region, grow_regions, penalty, seed_regions, space_share
 from .qasm import Token, emit_qasm, parse, parse_file, parse_text, tokenize
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 # submodule -> the names exported from it on first access
 _LAZY = {
-    "place": ("critical_path", "enumerate_embeddings", "interaction_graph", "select_placement"),
+    "place": ("enumerate_embeddings", "interaction_graph", "select_placement"),
     "pulse": ("AshNParams", "PulseEvent", "PulseLibrary", "Schedule", "ags_candidates",
               "build_schedule", "synthesize_ashn"),
     "kak": ("WeylPoint", "euler_two_pulse", "kak_decompose"),
@@ -50,13 +50,13 @@ def __getattr__(name: str):
 __all__ = [
     "Circuit", "GateIR", "RegisterMap", "Token",
     "tokenize", "parse", "parse_text", "parse_file", "emit_qasm",
-    "CircuitDag", "CircuitStats", "build_dag", "decompose_3q", "stats",
+    "CircuitDag", "CircuitStats", "build_dag", "critical_path", "decompose_3q", "stats",
     "CouplingGraph", "CalibrationData", "DeviceModel", "load_device", "partial_graph",
     "Layout", "RoutingOptions", "RoutingResult",
     "sabre_route", "prioritize_qubits",
     "TranspileOptions", "TranspileResult", "transpile",
     "BasisSet", "VENDOR_BASES", "lower", "lower_1q_zxz",
-    "interaction_graph", "enumerate_embeddings", "critical_path", "select_placement",
+    "interaction_graph", "enumerate_embeddings", "select_placement",
     "Region", "penalty", "seed_regions", "grow_regions", "space_share",
     "PulseEvent", "PulseLibrary", "Schedule", "AshNParams",
     "build_schedule", "ags_candidates", "synthesize_ashn",

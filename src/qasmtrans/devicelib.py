@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from .device import CalibrationData, CouplingGraph, DeviceModel
+from .lowering import ENTANGLERS
 
 # per-vendor default gate durations in ns (virtual-Z gates cost nothing)
 DEFAULT_DURATIONS = {
@@ -94,8 +95,7 @@ def make_device(name: str, num_qubits: int, edges, basis: str = "ibmq",
     cal.default_durations = dur
     two_q = two_qubit_duration_ns
     if two_q is None:
-        two_q = max((v for k, v in dur.items() if k in ("cx", "cz", "ms", "zz", "iswap")),
-                    default=300.0)
+        two_q = max((v for k, v in dur.items() if k in ENTANGLERS), default=300.0)
     for key in coupling.edges:
         cal.e2[key] = jitter(e2)
         cal.edge_duration_ns[key] = two_q

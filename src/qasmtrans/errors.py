@@ -71,10 +71,6 @@ class UnsupportedGate(QasmTransError):
         self.name = name
 
 
-class MidCircuitMeasurement(QasmTransError):
-    pass
-
-
 # --- routing ---
 
 class TooManyQubits(QasmTransError):

@@ -1,6 +1,6 @@
 """Circuit-level analyses: the one gate dependency DAG (with its incremental
-front list; the router and the critical path both build it), 3-qubit gate
-decomposition, and circuit statistics.
+front list; the router and the critical path both build it), the one gate
+duration table and critical path, 3-qubit gate decomposition, and statistics.
 
 Statistics conventions (documented because the literature leaves them open):
   * measurements count as one-qubit operations, in both the gate counts and
@@ -16,7 +16,9 @@ from dataclasses import dataclass
 
 from . import gates
 from .circuit import BARRIER, Circuit, GateIR
-from .errors import NotInFront, UnsupportedGate
+from .device import DeviceModel
+from .errors import MissingDuration, NotInFront, UnsupportedGate
+from .lowering import ENTANGLERS
 
 
 class CircuitDag:
@@ -104,6 +106,94 @@ def topological_order(dag: CircuitDag) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# durations and the critical path
+# ---------------------------------------------------------------------------
+
+class DurationTable:
+    """Gate durations in ns. A gate takes its (name, qubits) entry in `at`,
+    else its `named` duration, else the arity fallback (for pre-lowering
+    circuits); barriers take 0."""
+
+    def __init__(self, named: dict[str, float], default_1q: float | None = None,
+                 default_2q: float | None = None, at: dict[tuple, float] | None = None):
+        self.named = dict(named)
+        self.default_1q = default_1q
+        self.default_2q = default_2q
+        self.at = dict(at or {})
+
+    @classmethod
+    def for_device(cls, device: DeviceModel) -> "DurationTable":
+        named = dict(device.calibration.default_durations)
+        ones = [v for k, v in named.items() if k not in ENTANGLERS and v > 0]
+        twos = [v for k, v in named.items() if k in ENTANGLERS]
+        d1 = max(ones) if ones else 35.0
+        d2 = max(twos) if twos else 300.0
+        return cls(named, default_1q=d1, default_2q=d2)
+
+    @classmethod
+    def coerce(cls, durations) -> "DurationTable":
+        """A table as given, a device's table, or a name -> ns dict, no fallbacks."""
+        if isinstance(durations, DurationTable):
+            return durations
+        if isinstance(durations, DeviceModel):
+            return cls.for_device(durations)
+        if isinstance(durations, dict):
+            return cls(durations)
+        raise MissingDuration(str(durations))
+
+    def duration(self, gate: GateIR) -> float:
+        if gate.is_barrier:
+            return 0.0
+        if self.at:
+            d = self.at.get((gate.name, gate.qubits))
+            if d is not None:
+                return d
+        if gate.name in self.named:
+            return self.named[gate.name]
+        fallback = self.default_1q if gate.num_qubits == 1 else self.default_2q
+        if fallback is None:
+            raise MissingDuration(gate.name)
+        return fallback
+
+
+def critical_path(circuit: Circuit, durations) -> tuple[list[GateIR], float]:
+    """Longest dependency chain by summed gate duration (ASAP dynamic program).
+
+    `durations` is anything `DurationTable.coerce` takes. Returns (cp_gates,
+    latency_ns); among equal-latency paths the one greedily preferring
+    earlier gate indices is chosen. Barriers participate as zero-duration
+    dependencies but are omitted from the returned path.
+    """
+    table = DurationTable.coerce(durations)
+    gates_ = circuit.gates
+    n = len(gates_)
+    if n == 0:
+        return [], 0.0
+    dur = [table.duration(g) for g in gates_]
+    preds = CircuitDag(circuit).preds
+    end = [0.0] * n
+    for i in range(n):
+        end[i] = dur[i] + max((end[p] for p in preds[i]), default=0.0)
+    latency = max(end)
+    tol = 1e-9 * max(1.0, latency)
+    tail = min(i for i in range(n) if abs(end[i] - latency) <= tol)
+    path = [tail]
+    node = tail
+    while preds[node]:
+        target = end[node] - dur[node]
+        best = None
+        for p in preds[node]:
+            if abs(end[p] - target) <= tol:
+                best = p if best is None else min(best, p)
+        if best is None:
+            break
+        path.append(best)
+        node = best
+    path.reverse()
+    return [gates_[i] for i in path if not gates_[i].is_barrier], float(latency)
+
+
+# ---------------------------------------------------------------------------
 # 3-qubit gate decomposition
 # ---------------------------------------------------------------------------
 
@@ -153,7 +243,6 @@ class CircuitStats:
     one_qubit_gates: int
     two_qubit_gates: int
     total_gates: int
-    latency_ns: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -174,20 +263,15 @@ class CircuitStats:
         return "\n".join(f"{k}: {v}" for k, v in self.to_dict().items())
 
 
-def stats(circuit: Circuit, device_basis_durations: dict | None = None) -> CircuitStats:
+def stats(circuit: Circuit) -> CircuitStats:
     """Five circuit metrics over the ASAP layering (see module docstring).
-
-    With device_basis_durations (gate name -> ns) the duration-weighted
-    schedule span is additionally reported as latency_ns.
-    """
+    The duration-weighted span is `critical_path`'s latency."""
     n = circuit.num_qubits
     lvl = [0] * n
     first = [0] * n
-    ready = [0.0] * n
     ent = [0] * n
     n1 = n2 = total = 0
     meas_layers: list[int] = []
-    durations = device_basis_durations
     for g in circuit.gates:
         qs = g.qubits
         if len(qs) == 1 and g.name != BARRIER:
@@ -199,8 +283,6 @@ def stats(circuit: Circuit, device_basis_durations: dict | None = None) -> Circu
             lvl[q] = layer
             total += 1
             n1 += 1
-            if durations is not None:
-                ready[q] += durations.get(g.name, 0.0)
             continue
         if g.name == BARRIER:
             layer = 1 + max((lvl[q] for q in qs), default=0)
@@ -217,11 +299,6 @@ def stats(circuit: Circuit, device_basis_durations: dict | None = None) -> Circu
             n2 += 1
             for q in qs:
                 ent[q] += 1
-        if durations is not None:
-            dur = durations.get(g.name, 0.0)
-            t = dur + max(ready[q] for q in qs)
-            for q in qs:
-                ready[q] = t
     for q, _c in circuit.measurements:
         layer = lvl[q] + 1
         lvl[q] = layer
@@ -245,5 +322,4 @@ def stats(circuit: Circuit, device_basis_durations: dict | None = None) -> Circu
         one_qubit_gates=n1,
         two_qubit_gates=n2,
         total_gates=total,
-        latency_ns=max(ready) if device_basis_durations is not None and circuit.gates else None,
     )

@@ -214,10 +214,6 @@ def _snap_phase(phase: float) -> tuple[complex, complex]:
     return lam, sign * cmath.exp(1j * residue)
 
 
-def weyl_coords(u: np.ndarray) -> tuple[float, float, float]:
-    return kak_decompose(u).coords
-
-
 def weyl_overlap(c1, c2) -> float:
     """Average-gate-fidelity between two canonical gates with the given
     Weyl coordinates; 1.0 iff the coordinates agree."""

@@ -81,6 +81,9 @@ VENDOR_BASES: dict[str, BasisSet] = {
          (EULER, B, (3.3306690738754696e-16, 2.156818736633614, -1.5707963267948961)))),
 }
 
+# every basis's two-qubit gate: cx, cz, ms, zz, iswap
+ENTANGLERS = frozenset(b.two_qubit_gate for b in VENDOR_BASES.values())
+
 
 def resolve_basis(basis) -> BasisSet:
     if isinstance(basis, BasisSet):

@@ -2,9 +2,9 @@
 interaction graph into the device coupling graph and select the one with the
 lowest mean gate error along the circuit's critical path.
 
-The critical path is computed once on the routed circuit with device
-durations and held fixed while mappings are scored; only the per-gate error
-drawn from the calibration changes with the mapping.
+The critical path (`ir.critical_path`, device durations) is computed once on
+the routed circuit and held fixed while mappings are scored; only the
+per-gate error drawn from the calibration changes with the mapping.
 """
 from __future__ import annotations
 
@@ -14,8 +14,8 @@ import numpy as np
 
 from .circuit import Circuit, GateIR
 from .device import CouplingGraph, DeviceModel
-from .errors import MissingDuration, NoEmbedding
-from .ir import CircuitDag
+from .errors import NoEmbedding
+from .ir import critical_path
 from .route import Layout
 
 
@@ -109,85 +109,6 @@ def enumerate_embeddings(ig: InteractionGraph, coupling: CouplingGraph,
 
 
 # ---------------------------------------------------------------------------
-# critical path
-# ---------------------------------------------------------------------------
-
-class DurationTable:
-    """Per-gate-name durations with arity fallbacks for pre-lowering circuits."""
-
-    def __init__(self, named: dict[str, float], default_1q: float | None = None,
-                 default_2q: float | None = None):
-        self.named = dict(named)
-        self.default_1q = default_1q
-        self.default_2q = default_2q
-
-    @classmethod
-    def for_device(cls, device: DeviceModel) -> "DurationTable":
-        named = dict(device.calibration.default_durations)
-        ones = [v for k, v in named.items() if k not in ("cx", "cz", "ms", "zz", "iswap") and v > 0]
-        twos = [v for k, v in named.items() if k in ("cx", "cz", "ms", "zz", "iswap")]
-        d1 = max(ones) if ones else 35.0
-        d2 = max(twos) if twos else 300.0
-        return cls(named, default_1q=d1, default_2q=d2)
-
-    def duration(self, gate: GateIR) -> float:
-        if gate.is_barrier:
-            return 0.0
-        if gate.name in self.named:
-            return self.named[gate.name]
-        fallback = self.default_1q if gate.num_qubits == 1 else self.default_2q
-        if fallback is None:
-            raise MissingDuration(gate.name)
-        return fallback
-
-
-def _as_table(durations) -> DurationTable:
-    if isinstance(durations, DurationTable):
-        return durations
-    if isinstance(durations, DeviceModel):
-        return DurationTable.for_device(durations)
-    if isinstance(durations, dict):
-        return DurationTable(durations)
-    raise MissingDuration(str(durations))
-
-
-def critical_path(circuit: Circuit, durations) -> tuple[list[GateIR], float]:
-    """Longest dependency chain by summed gate duration (ASAP dynamic program).
-
-    Returns (cp_gates, latency_ns); among equal-latency paths the one
-    greedily preferring earlier gate indices is chosen. Barriers participate
-    as zero-duration dependencies but are omitted from the returned path.
-    """
-    table = _as_table(durations)
-    gates_ = circuit.gates
-    n = len(gates_)
-    if n == 0:
-        return [], 0.0
-    dur = [table.duration(g) for g in gates_]
-    preds = CircuitDag(circuit).preds
-    end = [0.0] * n
-    for i in range(n):
-        end[i] = dur[i] + max((end[p] for p in preds[i]), default=0.0)
-    latency = max(end)
-    tol = 1e-9 * max(1.0, latency)
-    tail = min(i for i in range(n) if abs(end[i] - latency) <= tol)
-    path = [tail]
-    node = tail
-    while preds[node]:
-        target = end[node] - dur[node]
-        best = None
-        for p in preds[node]:
-            if abs(end[p] - target) <= tol:
-                best = p if best is None else min(best, p)
-        if best is None:
-            break
-        path.append(best)
-        node = best
-    path.reverse()
-    return [gates_[i] for i in path if not gates_[i].is_barrier], float(latency)
-
-
-# ---------------------------------------------------------------------------
 # scoring and selection
 # ---------------------------------------------------------------------------
 
@@ -223,20 +144,18 @@ def score_embeddings(cp_gates: list[GateIR], ig: InteractionGraph, emb: np.ndarr
     return total / len(cp_gates)
 
 
-def select_placement(circuit: Circuit, device: DeviceModel, limit: int = 10000,
-                     durations=None) -> tuple[PlacementScore, list[PlacementScore]]:
+def select_placement(circuit: Circuit, device: DeviceModel,
+                     limit: int = 10000) -> tuple[PlacementScore, list[PlacementScore]]:
     """Best mapping by mean critical-path error, and the TOP_K best, best
     first; deterministic total order (score, then lexicographic mapping)."""
     ig = interaction_graph(circuit)
     emb = enumerate_embeddings(ig, device.coupling, limit=limit)
-    cp_gates, _latency = critical_path(circuit, durations if durations is not None else device)
+    cp_gates, _latency = critical_path(circuit, device)
     scores = score_embeddings(cp_gates, ig, emb, device)
     top = []
     for r in np.lexsort((*emb.T[::-1], scores))[:TOP_K]:
         v2p: list = [None] * ig.num_qubits
-        p2v: list = [None] * device.num_qubits
         for v, p in zip(ig.vertices, emb[r].tolist()):
             v2p[v] = p
-            p2v[p] = v
-        top.append(PlacementScore(Layout(v2p, p2v), len(cp_gates), float(scores[r])))
+        top.append(PlacementScore(Layout(v2p), len(cp_gates), float(scores[r])))
     return top[0], top

@@ -29,8 +29,8 @@ from . import gates
 from .circuit import Circuit, GateIR
 from .device import DeviceModel
 from .errors import DidNotConverge, MissingTemplate
+from .ir import DurationTable, critical_path
 from .kak import euler_two_pulse, kak_decompose, weyl_overlap
-from .place import DurationTable, critical_path
 from .pulsesim import PulseModel, avg_gate_fidelity, optimize_pulse, propagate
 
 PI = math.pi
@@ -197,12 +197,13 @@ class PulseLibrary:
         return cls(device, d1, d2, entangler, g, **kw)
 
     def durations(self) -> DurationTable:
+        """Durations as `build_schedule` lays gates out, calibrated entries included."""
         named = {"rz": 0.0, "gz": 0.0, "rx": self.d1q_ns, "sx": self.d1q_ns,
                  "x": self.d1q_ns, "id": self.d1q_ns,
                  self.entangler: self.d2q_ns}
-        for key, entry in self.ags.items():
-            named[f"ags:{key[0]}"] = entry.duration_with_corrections(self.d1q_ns)
-        return DurationTable(named, default_1q=self.d1q_ns, default_2q=self.d2q_ns)
+        at = {key: entry.duration_with_corrections(self.d1q_ns)
+              for key, entry in self.ags.items()}
+        return DurationTable(named, default_1q=self.d1q_ns, default_2q=self.d2q_ns, at=at)
 
     def drive_event(self, qubit: int, t0: float, theta: float, phase: float) -> PulseEvent:
         params = {}
@@ -459,12 +460,11 @@ def simulate_schedule(schedule: Schedule, device: DeviceModel,
     n = len(active)
     model, _ = schedule_to_model(schedule, max(active) + 1, active=active,
                                  kappa=kappa, gamma=gamma, dt_ns=dt_ns)
-    ideal_model, _ = schedule_to_model(schedule, max(active) + 1, active=active,
-                                       dt_ns=dt_ns)
     horizon = schedule.makespan_ns
     psi0 = np.zeros(1 << n, dtype=complex)
     psi0[0] = 1.0
-    psi = propagate(ideal_model, horizon) @ psi0
+    # propagate reads the controls only, never the decay rates
+    psi = propagate(model, horizon) @ psi0
     rho0 = np.outer(psi0, psi0.conj())
     rho = lindblad_evolve(model, rho0, horizon)
     return {
@@ -498,11 +498,8 @@ class AgsCandidate:
 def ags_candidates(circuit: Circuit, durations) -> list[AgsCandidate]:
     """Contiguous one- and two-qubit gate runs along the critical path,
     ranked by their total latency contribution. Single pass over the path."""
-    cp_gates, _latency = critical_path(circuit, durations)
-    table = durations if isinstance(durations, DurationTable) else DurationTable(
-        durations if isinstance(durations, dict) else {})
-    if isinstance(durations, DeviceModel):
-        table = DurationTable.for_device(durations)
+    table = DurationTable.coerce(durations)
+    cp_gates, _latency = critical_path(circuit, table)
     windows: list[tuple[tuple, list[GateIR]]] = []
     cur_qubits: set = set()
     cur: list[GateIR] = []

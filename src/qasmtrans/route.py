@@ -42,10 +42,9 @@ from .ir import CircuitDag
 
 @dataclass
 class Layout:
-    """Bijection between virtual and physical qubits (phys side may have
-    unassigned slots when the device is larger than the circuit)."""
-    virt_to_phys: list[int]
-    phys_to_virt: list
+    """Injective virtual -> physical qubit map (placement leaves None for an
+    unused virtual qubit)."""
+    virt_to_phys: list
 
 
 @dataclass
@@ -329,20 +328,11 @@ def sabre_route(circuit: Circuit, device: DeviceModel, seed: int = 0,
 
     router = _Router(circuit, device, seed, opts, initial)
     out_gates, swaps = router.run()
-    init_layout = Layout(list(initial),
-                         _p2v(initial, circuit.num_qubits, device.num_qubits))
-    final_v2p = [router.pi[v] for v in range(circuit.num_qubits)]
-    final_layout = Layout(final_v2p, _p2v(final_v2p, circuit.num_qubits, device.num_qubits))
+    init_layout = Layout(list(initial))
+    final_layout = Layout([router.pi[v] for v in range(circuit.num_qubits)])
     meas = [(router.pi[q], c) for q, c in circuit.measurements]
     routed = Circuit(device.num_qubits, out_gates, meas, source_name=circuit.source_name)
     return RoutingResult(routed, init_layout, final_layout, swaps)
-
-
-def _p2v(v2p: list[int], n_virt: int, n_phys: int) -> list:
-    p2v: list = [None] * n_phys
-    for v in range(n_virt):
-        p2v[v2p[v]] = v
-    return p2v
 
 
 def prioritize_qubits(circuit: Circuit, priority_order: list[int]) -> tuple[Circuit, list[int]]:

@@ -625,6 +625,18 @@ def test_fresh_noise_adaptive_verify_compile(tmp_path, line5_json):
     assert summary["verified"] is True and summary["placement_score"] is not None
 
 
+def test_critical_path_loads_no_numpy(line5_json):
+    # placement and AGS ranking time gates through this path, so it stays numpy-free
+    proc = _fresh("from qasmtrans import ir, qasm\nfrom qasmtrans.device import load_device\n"
+                  "c = qasm.parse_file(sys.argv[1])\n"
+                  "table = ir.DurationTable.for_device(load_device(sys.argv[2]))\n"
+                  "print(ir.critical_path(c, table)[1])\n" + _NO_NUMPY,
+                  str(FIXTURES / "ghz_n5.qasm"), line5_json)
+    assert proc.returncode == 0, proc.stderr
+    # h, then four cx in a chain, at the ibmq defaults
+    assert float(proc.stdout) == 35.0 + 4 * 300.0
+
+
 def test_every_export_resolves():
     # names from the numpy-backed modules are resolved on first access
     proc = _fresh("import json, qasmtrans\nns = {}\nexec('from qasmtrans import *', ns)\n"
@@ -634,6 +646,7 @@ def test_every_export_resolves():
     for name in qasmtrans.__all__:
         assert getattr(qasmtrans, name) is not None, name
     assert qasmtrans.select_placement.__module__ == "qasmtrans.place"
+    assert qasmtrans.critical_path.__module__ == "qasmtrans.ir"
     assert getattr(qasmtrans, "no_such_name", None) is None
     with pytest.raises(AttributeError):
         qasmtrans.no_such_name

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qasmtrans import gates, ir, oracle
-from qasmtrans.circuit import Circuit
+from qasmtrans.circuit import Circuit, GateIR
 from qasmtrans.errors import NotInFront, UnsupportedGate
 
 from conftest import random_circuit
@@ -193,10 +193,15 @@ def test_depth_invariant_under_disjoint_adjacent_swaps():
         assert ir.stats(shuffled).depth == base
 
 
-def test_stats_latency_with_durations():
+def test_critical_path_latency_with_durations():
     c = Circuit(2).add("h", [0]).add("cx", [0, 1])
-    s = ir.stats(c, {"h": 10.0, "cx": 40.0})
-    assert s.latency_ns == 50.0
+    assert ir.critical_path(c, {"h": 10.0, "cx": 40.0})[1] == 50.0
+    # a (name, qubits) entry is read before the name
+    table = ir.DurationTable({"cx": 40.0}, at={("cx", (0, 1)): 70.0})
+    assert table.duration(GateIR("cx", (0, 1))) == 70.0
+    assert table.duration(GateIR("cx", (1, 0))) == 40.0
+    c = Circuit(3).add("cx", [1, 2]).add("cx", [0, 1]).add("barrier", [0, 1, 2])
+    assert ir.critical_path(c, table) == ([c.gates[0], c.gates[1]], 110.0)
 
 
 def test_barrier_occupies_a_layer():

@@ -11,6 +11,7 @@ import qasmtrans.lowering as lower
 from qasmtrans import devicelib, gates, ir, oracle, qasm, route
 from qasmtrans.circuit import Circuit, GateIR
 from qasmtrans.errors import NoRuleFor
+from qasmtrans.ir import DurationTable
 from qasmtrans.lowering import FIXED_EULER, VENDOR_BASES, lower_1q_zxz
 from qasmtrans.pulsesim import avg_gate_fidelity
 from qasmtrans.transpile import TranspileOptions, transpile
@@ -229,7 +230,7 @@ def test_no_rule_for_foreign_entangler():
 
 # sha256 of the emitted programs, statistics and latencies below: a change
 # anywhere on the compile path that moves one output byte changes it
-GOLDEN_COMPILE_DIGEST = "5b7d84949a54ab76f418c96ae69f11b488e3f20c3d2204586e1131df9ad78dd2"
+GOLDEN_COMPILE_DIGEST = "419f96b681e0a2d1fb3e84168b2a651e16045b004d540a580a41cb2c24edc985"
 
 # gate name -> ns; names missing here take 0 ns
 _DURATIONS = {"cx": 300.0, "cz": 220.0, "zz": 250.5, "ms": 600.0, "iswap": 180.0,
@@ -280,7 +281,8 @@ def _compile_digest() -> str:
     def record(c: Circuit):
         h.update(qasm.emit_qasm(c).encode())
         h.update(json.dumps(ir.stats(c).to_dict(), sort_keys=True).encode())
-        h.update(repr(ir.stats(c, _DURATIONS).latency_ns).encode())
+        h.update(repr(ir.critical_path(
+            c, DurationTable(_DURATIONS, default_1q=0.0, default_2q=0.0))[1]).encode())
 
     record(circ)
     # the parser's own path: composition gates expand at parse time

@@ -12,7 +12,7 @@ import pytest
 from qasmtrans import cli, devicelib, ir, place, qasm, route
 from qasmtrans.circuit import Circuit
 from qasmtrans.errors import MissingDuration, NoEmbedding
-from qasmtrans.place import DurationTable
+from qasmtrans.ir import DurationTable
 from qasmtrans.transpile import gc_paused
 
 from conftest import random_circuit

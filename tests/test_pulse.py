@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from qasmtrans import devicelib, gates, oracle, place, pulse, pulsesim
+from qasmtrans import devicelib, gates, ir, oracle, pulse, pulsesim
 from qasmtrans.circuit import Circuit
 from qasmtrans.errors import MissingTemplate
 from qasmtrans.lowering import lower
@@ -23,6 +23,14 @@ PI = math.pi
 def chain_lib():
     dev = devicelib.line(7, basis="rigetti_pulse", t1_us=20.0, t2_us=15.0)
     return dev, PulseLibrary.for_device(dev)
+
+
+@pytest.fixture(scope="module")
+def cx_entry(chain_lib):
+    # a calibrated CX for the chain's coupling strength
+    _dev, lib = chain_lib
+    return pulse.synthesize_ashn(gates.matrix("cx"), g=lib.g, budget=300, seed=0,
+                                 max_drive=0.5)
 
 
 def _simulate_schedule(schedule, qubits, dt=0.01):
@@ -85,8 +93,37 @@ def test_makespan_equals_critical_path(chain_lib, circuits):
         if c.num_qubits > 7:
             continue
         s = pulse.build_schedule(c, lib)
-        _cp, latency = place.critical_path(c, lib.durations())
+        _cp, latency = ir.critical_path(c, lib.durations())
         assert s.makespan_ns == latency
+
+
+def test_makespan_equals_critical_path_with_an_ags_entry(chain_lib, cx_entry):
+    # the library times a kept gate with its calibrated entry, as the
+    # schedule lays it out
+    _dev, lib = chain_lib
+    lib.add_ags("cx", (0, 1), cx_entry)
+    rng = np.random.default_rng(2)
+    try:
+        circuits = [Circuit(2).add("h", [0]).add("cx", [0, 1]).add("rx", [1], (1.0,))]
+        for _ in range(6):
+            c = Circuit(2)
+            for _ in range(6):
+                r = rng.random()
+                if r < 0.3:
+                    c.add("rz", [int(rng.integers(2))], (float(rng.uniform(-3, 3)),))
+                elif r < 0.6:
+                    c.add("h", [int(rng.integers(2))])
+                else:
+                    c.add("cx", [0, 1] if r < 0.9 else [1, 0])
+            circuits.append(c.add("cx", [0, 1]))
+        for c in circuits:
+            lowered = lower(c, "rigetti_pulse", keep={("cx", (0, 1))})
+            assert any(g.name == "cx" for g in lowered.gates)
+            s = pulse.build_schedule(lowered, lib)
+            _cp, latency = ir.critical_path(lowered, lib.durations())
+            assert abs(s.makespan_ns - latency) <= 1e-9
+    finally:
+        lib.ags.clear()
 
 
 def test_drive_angles_of_the_native_pulse_gates(chain_lib):
@@ -224,7 +261,7 @@ def test_ags_identification_linear_scaling():
 
     def timed(n_blocks):
         c = chain(n_blocks)
-        cp, _ = place.critical_path(c, durations)  # exclude cp build from timing
+        cp, _ = ir.critical_path(c, durations)  # exclude cp build from timing
         best = math.inf
         # as in a CLI run, where the cyclic collector is paused
         with gc_paused():
@@ -286,10 +323,9 @@ def test_ashn_deterministic():
     assert a.params == b.params
 
 
-def test_ashn_schedule_emission(chain_lib):
+def test_ashn_schedule_emission(chain_lib, cx_entry):
     dev, lib = chain_lib
-    entry = pulse.synthesize_ashn(gates.matrix("cx"), g=lib.g, budget=300, seed=0,
-                                  max_drive=0.5)
+    entry = cx_entry
     lib.add_ags("cx", (0, 1), entry)
     c = Circuit(2).add("rz", [0], (0.3,)).add("cx", [0, 1])
     s = pulse.build_schedule(c, lib)
@@ -302,12 +338,11 @@ def test_ashn_schedule_emission(chain_lib):
     lib.ags.clear()
 
 
-def test_ags_replacement_reduces_makespan_property(chain_lib):
+def test_ags_replacement_reduces_makespan_property(chain_lib, cx_entry):
     # whenever the calibrated entry is shorter than the decomposed sequence,
     # substituting it strictly reduces the schedule makespan
     dev, lib = chain_lib
-    entry = pulse.synthesize_ashn(gates.matrix("cx"), g=lib.g, budget=300, seed=0,
-                                  max_drive=0.5)
+    entry = cx_entry
     lib.add_ags("cx", (0, 1), entry)
     rng = np.random.default_rng(11)
     try:
